@@ -50,20 +50,10 @@ BackendConn::readFrame()
 {
     if (fd_ < 0 || reader_ == nullptr)
         return std::nullopt;
-    // Reassemble the frame from reader lines.  LineReader strips the
-    // '\n' terminator (and a trailing '\r', which our own writers
-    // never emit), so appending "\n" reproduces the daemon's bytes
+    // LineReader re-terminates every line with a lone '\n' (our own
+    // writers never emit '\r'), which reproduces the daemon's bytes
     // exactly — what lets the router relay responses verbatim.
-    std::string frame;
-    while (true) {
-        std::optional<std::string> line = reader_->readLine();
-        if (!line.has_value())
-            return std::nullopt;
-        frame += *line;
-        frame += '\n';
-        if (isFrameEnd(*line))
-            return frame;
-    }
+    return reader_->readFrame();
 }
 
 BackendPool::BackendPool(std::vector<BackendEndpoint> backends,

@@ -204,22 +204,8 @@ Router::handleConnection(int fd)
     // and an unbounded frame must not pin the handler.
     LineReader reader(fd, cfg_.maxFrameBytes);
     for (;;) {
-        std::string frame;
-        bool got_end = false;
-        bool oversized = false;
-        while (auto line = reader.readLine()) {
-            if (frame.size() + line->size() + 1 > cfg_.maxFrameBytes) {
-                oversized = true;
-                break;
-            }
-            frame += *line;
-            frame += '\n';
-            if (isFrameEnd(*line)) {
-                got_end = true;
-                break;
-            }
-        }
-        if (oversized || reader.overflowed()) {
+        auto next = reader.readFrame(cfg_.maxFrameBytes);
+        if (!next && reader.overflowed()) {
             frames_.fetch_add(1, std::memory_order_relaxed);
             JITSCHED_OBS({
                 obs::ClusterMetrics &m = obs::ClusterMetrics::get();
@@ -246,8 +232,9 @@ Router::handleConnection(int fd)
             }
             return;
         }
-        if (!got_end)
+        if (!next)
             return; // EOF
+        const std::string frame = *std::move(next);
 
         if (stopping_.load(std::memory_order_acquire))
             return;
@@ -329,9 +316,8 @@ Router::handleConnection(int fd)
             continue;
         }
 
-        std::istringstream is(frame);
         std::string parse_error;
-        const auto req = tryReadRequest(is, &parse_error);
+        auto req = tryReadRequest(frame, &parse_error);
 
         std::string resp_text;
         if (!req) {
@@ -342,7 +328,7 @@ Router::handleConnection(int fd)
             resp_text = responseText(makeErrorResponse(
                 0, errcode::invalidArgument, parse_error));
         } else {
-            resp_text = route(*req);
+            resp_text = route(*std::move(req));
         }
         frames_.fetch_add(1, std::memory_order_relaxed);
         JITSCHED_OBS(obs::ClusterMetrics::get().framesServed.add());
@@ -571,26 +557,21 @@ Router::hedgedExchange(std::size_t primary, std::size_t secondary,
 }
 
 std::string
-Router::route(const ServiceRequest &req)
+Router::route(ServiceRequest req)
 {
     // First contact mints the trace id when the client did not; the
     // canonical frame below then carries it to every backend try, so
     // one id names the whole fan-out.  Fingerprinting ignores it, so
     // affinity is unchanged by tracing.
-    ServiceRequest traced;
-    const ServiceRequest *rp = &req;
-    if (req.traceId == 0) {
-        traced = req;
-        traced.traceId = obs::mintTraceId();
-        rp = &traced;
-    }
-    const std::uint64_t trace_id = rp->traceId;
+    if (req.traceId == 0)
+        req.traceId = obs::mintTraceId();
+    const std::uint64_t trace_id = req.traceId;
     const auto route_t0 = SteadyClock::now();
 
     // The canonical re-serialization parses to the same request the
     // client sent, so the backend's answer is the answer.
-    const std::string canonical = requestText(*rp);
-    const std::uint64_t fingerprint = requestFingerprint(*rp);
+    const std::string canonical = requestText(req);
+    const std::uint64_t fingerprint = requestFingerprint(req);
     const std::vector<std::size_t> chain = chainFor(fingerprint);
 
     const bool has_deadline = req.options.deadlineMs >= 0;

@@ -172,7 +172,7 @@ class Router
      * retries, hedging) without a socket in front.  What the
      * in-process harness and the TSan hammer drive.
      */
-    std::string route(const ServiceRequest &req);
+    std::string route(ServiceRequest req);
 
   private:
     struct Exchange

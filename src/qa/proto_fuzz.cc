@@ -341,15 +341,7 @@ class RawConn
     std::optional<std::string>
     readFrame()
     {
-        std::string frame;
-        for (;;) {
-            const auto line = reader_->readLine();
-            if (!line.has_value())
-                return std::nullopt;
-            frame += *line + "\n";
-            if (isFrameEnd(*line))
-                return frame;
-        }
+        return reader_->readFrame();
     }
 
     void

@@ -67,14 +67,9 @@ ServiceClient::callRaw(const std::string &frame, std::string *error)
     // request/response, so no bytes of the next frame can be in
     // flight yet.
     LineReader reader(fd_);
-    std::string out;
-    while (auto line = reader.readLine()) {
-        out += *line;
-        out += '\n';
-        if (isFrameEnd(*line)) {
-            last_failure_ = TransportFailure::None;
-            return out;
-        }
+    if (auto out = reader.readFrame()) {
+        last_failure_ = TransportFailure::None;
+        return out;
     }
     if (reader.timedOut()) {
         last_failure_ = TransportFailure::Timeout;

@@ -23,7 +23,6 @@
  */
 
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -277,17 +276,15 @@ main(int argc, char **argv)
     {
         // Round-trip the option pairs through the wire parser so the
         // CLI accepts exactly the keys the daemon does.
-        std::ostringstream frame;
-        frame << "jitsched-request " << id << "\n"
-              << "policy " << policy << "\n";
+        std::string frame = "jitsched-request " + std::to_string(id) +
+                            "\npolicy " + policy + "\n";
         for (const auto &[k, v] : options)
-            frame << "option " << k << " " << v << "\n";
-        frame << "payload\n";
-        writeWorkload(frame, req.workload);
-        frame << "end\n";
-        std::istringstream is(frame.str());
+            frame += "option " + k + " " + v + "\n";
+        frame += "payload\n";
+        appendWorkload(frame, req.workload);
+        frame += "end\n";
         std::string err;
-        auto parsed = tryReadRequest(is, &err);
+        auto parsed = tryReadRequest(frame, &err);
         if (!parsed)
             JITSCHED_FATAL(err);
         req = *std::move(parsed);
@@ -309,7 +306,7 @@ main(int argc, char **argv)
     if (!resp)
         JITSCHED_FATAL(error);
 
-    writeResponse(std::cout, *resp, with_stats);
+    std::cout << responseText(*resp, with_stats);
 
     if (!trace_out.empty()) {
         // The timeline is rebuilt client-side from the request's

@@ -1,6 +1,7 @@
 #include "service/protocol.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <istream>
 #include <limits>
@@ -17,27 +18,15 @@ namespace jitsched {
 
 namespace {
 
-/** Strip comments and surrounding whitespace from one line. */
-std::string
-cleanLine(const std::string &line)
-{
-    const std::size_t hash = line.find('#');
-    const std::string_view body =
-        hash == std::string::npos
-            ? std::string_view(line)
-            : std::string_view(line).substr(0, hash);
-    return std::string(trim(body));
-}
-
 /** Next non-empty cleaned line, or nullopt at EOF. */
 std::optional<std::string>
 nextLine(std::istream &is)
 {
     std::string raw;
     while (std::getline(is, raw)) {
-        std::string line = cleanLine(raw);
+        const std::string_view line = cleanLine(raw);
         if (!line.empty())
-            return line;
+            return std::string(line);
     }
     return std::nullopt;
 }
@@ -66,14 +55,31 @@ hashCombine(std::uint64_t seed, std::uint64_t v)
     return mix64(seed ^ mix64(v));
 }
 
-/** Serialize a double so that it round-trips through parseDouble. */
+/**
+ * Append a double so that it round-trips through parseDouble: 17
+ * significant digits, the bytes `%.17g` (and an ostream at
+ * max_digits10 precision) produce.
+ */
 void
-writeDouble(std::ostream &os, double v)
+appendDouble(std::string &out, double v)
 {
-    std::ostringstream tmp;
-    tmp.precision(std::numeric_limits<double>::max_digits10);
-    tmp << v;
-    os << tmp.str();
+    char buf[32];
+    const auto res =
+        std::to_chars(buf, buf + sizeof(buf), v,
+                      std::chars_format::general,
+                      std::numeric_limits<double>::max_digits10);
+    out.append(buf, res.ptr);
+}
+
+/** Append `<key> <int>\n`. */
+template <typename T>
+void
+appendField(std::string &out, std::string_view key, T v)
+{
+    out += key;
+    out += ' ';
+    appendInt(out, v);
+    out += '\n';
 }
 
 } // anonymous namespace
@@ -81,60 +87,61 @@ writeDouble(std::ostream &os, double v)
 bool
 isFrameEnd(std::string_view raw_line)
 {
-    const std::size_t hash = raw_line.find('#');
-    if (hash != std::string_view::npos)
-        raw_line = raw_line.substr(0, hash);
-    return trim(raw_line) == "end";
+    return cleanLine(raw_line) == "end";
 }
 
 void
-writeRequest(std::ostream &os, const ServiceRequest &req)
+appendRequestBody(std::string &out, const ServiceRequest &req,
+                  bool volatile_options)
 {
-    os << "jitsched-request " << req.id << "\n";
-    os << "policy " << req.policy << "\n";
+    out += "policy ";
+    out += req.policy;
+    out += '\n';
     const ServiceOptions &o = req.options;
-    os << "option compile-cores " << o.compileCores << "\n";
-    os << "option model "
-       << (o.model == ModelKind::Oracle ? "oracle" : "default")
-       << "\n";
+    appendField(out, "option compile-cores", o.compileCores);
+    out += o.model == ModelKind::Oracle ? "option model oracle\n"
+                                        : "option model default\n";
     if (o.jitterSigma != 0.0) {
-        os << "option jitter-sigma ";
-        writeDouble(os, o.jitterSigma);
-        os << "\n";
-        os << "option jitter-seed " << o.jitterSeed << "\n";
+        out += "option jitter-sigma ";
+        appendDouble(out, o.jitterSigma);
+        out += '\n';
+        appendField(out, "option jitter-seed", o.jitterSeed);
     }
-    os << "option astar-max-expansions " << o.astarMaxExpansions
-       << "\n";
-    os << "option astar-memory-mb " << o.astarMemoryMb << "\n";
+    appendField(out, "option astar-max-expansions",
+                o.astarMaxExpansions);
+    appendField(out, "option astar-memory-mb", o.astarMemoryMb);
     // Serialized only when set: requests that never mention threads
     // stay byte-identical to what pre-astar-par builds emitted.
     if (o.astarThreads != 0)
-        os << "option threads " << o.astarThreads << "\n";
-    if (o.deadlineMs >= 0)
-        os << "option deadline-ms " << o.deadlineMs << "\n";
+        appendField(out, "option threads", o.astarThreads);
+    if (volatile_options && o.deadlineMs >= 0)
+        appendField(out, "option deadline-ms", o.deadlineMs);
     // Like threads: untraced requests stay byte-identical to what
     // pre-tracing builds emitted.
-    if (req.traceId != 0)
-        os << "option trace-id " << obs::traceIdHex(req.traceId)
-           << "\n";
-    os << "payload\n";
-    writeWorkload(os, req.workload);
-    os << "end\n";
+    if (volatile_options && req.traceId != 0) {
+        out += "option trace-id ";
+        out += obs::traceIdHex(req.traceId);
+        out += '\n';
+    }
+    out += "payload\n";
+    appendWorkload(out, req.workload);
 }
 
 std::string
 requestText(const ServiceRequest &req)
 {
-    std::ostringstream os;
-    writeRequest(os, req);
-    return os.str();
+    std::string out;
+    appendField(out, "jitsched-request", req.id);
+    appendRequestBody(out, req, /*volatile_options=*/true);
+    out += "end\n";
+    return out;
 }
 
 namespace {
 
 /** Apply one `option <key> <value>` line; false + error on failure. */
 bool
-applyOption(ServiceRequest &req, const std::string &key,
+applyOption(ServiceRequest &req, std::string_view key,
             const std::string &value, std::string *error)
 {
     ServiceOptions &o = req.options;
@@ -218,33 +225,35 @@ applyOption(ServiceRequest &req, const std::string &key,
         req.traceId = *v;
         return true;
     }
-    return parseFail(error, "unknown option '" + key + "'");
+    return parseFail(error, "unknown option '" + std::string(key) + "'");
 }
 
 } // anonymous namespace
 
 std::optional<ServiceRequest>
-tryReadRequest(std::istream &is, std::string *error)
+tryReadRequest(std::string_view frame, std::string *error)
 {
     ServiceRequest req;
+    LineCursor lines(frame);
 
-    const auto header = nextLine(is);
+    const auto header = lines.next();
     if (!header) {
         parseFail(error, "empty request frame");
         return std::nullopt;
     }
     {
-        std::istringstream hs(*header);
-        std::string tag, id_tok;
-        hs >> tag >> id_tok;
+        Tokenizer hs(*header);
+        const std::string_view tag = hs.next();
+        const std::string_view id_tok = hs.next();
         if (tag != "jitsched-request") {
             parseFail(error, "expected 'jitsched-request <id>', got '" +
-                      *header + "'");
+                      std::string(*header) + "'");
             return std::nullopt;
         }
         const auto id = parseInt(id_tok);
         if (!id || *id < 0) {
-            parseFail(error, "bad request id '" + id_tok + "'");
+            parseFail(error,
+                      "bad request id '" + std::string(id_tok) + "'");
             return std::nullopt;
         }
         req.id = static_cast<std::uint64_t>(*id);
@@ -252,7 +261,7 @@ tryReadRequest(std::istream &is, std::string *error)
 
     // Preamble: policy and options, up to the payload marker.
     for (;;) {
-        const auto line = nextLine(is);
+        const auto line = lines.next();
         if (!line) {
             parseFail(error, "request truncated before payload");
             return std::nullopt;
@@ -263,18 +272,19 @@ tryReadRequest(std::istream &is, std::string *error)
             parseFail(error, "request has no payload");
             return std::nullopt;
         }
-        std::istringstream ls(*line);
-        std::string key;
-        ls >> key;
+        Tokenizer ls(*line);
+        const std::string_view key = ls.next();
         if (key == "policy") {
-            ls >> req.policy;
+            // A bare `policy` line keeps any policy named earlier.
+            if (const auto name = ls.next(); !name.empty())
+                req.policy = name;
             if (req.policy.empty()) {
                 parseFail(error, "policy line names no policy");
                 return std::nullopt;
             }
         } else if (key == "option") {
-            std::string opt_key, opt_value;
-            ls >> opt_key >> opt_value;
+            const std::string_view opt_key = ls.next();
+            const std::string opt_value(ls.next());
             if (opt_key.empty() || opt_value.empty()) {
                 parseFail(error,
                           "option line needs a key and a value");
@@ -283,7 +293,7 @@ tryReadRequest(std::istream &is, std::string *error)
             if (!applyOption(req, opt_key, opt_value, error))
                 return std::nullopt;
         } else {
-            parseFail(error, "unknown directive '" + key +
+            parseFail(error, "unknown directive '" + std::string(key) +
                       "' before payload");
             return std::nullopt;
         }
@@ -295,7 +305,7 @@ tryReadRequest(std::istream &is, std::string *error)
     }
 
     std::string wl_error;
-    auto w = tryReadWorkload(is, &wl_error, "end");
+    auto w = tryReadWorkload(lines.rest(), &wl_error, "end");
     if (!w) {
         if (error != nullptr)
             *error = wl_error;
@@ -305,73 +315,104 @@ tryReadRequest(std::istream &is, std::string *error)
     return req;
 }
 
-void
-writeResponse(std::ostream &os, const ServiceResponse &resp,
-              bool include_stats)
+std::optional<ServiceRequest>
+tryReadRequest(std::istream &is, std::string *error)
 {
-    os << "jitsched-response " << resp.id << "\n";
-    if (resp.ok) {
-        os << "status ok\n";
-    } else {
-        os << "status error "
-           << (resp.code.empty() ? errcode::unavailable : resp.code)
-           << "\n";
-        os << "error " << resp.error << "\n";
+    // A request frame ends at its first `end` line wherever that
+    // line falls, so buffering through it and no further leaves the
+    // stream exactly where the frame stops.
+    std::string frame;
+    if (const std::streamsize buffered = is.rdbuf()->in_avail();
+        buffered > 0)
+        frame.reserve(static_cast<std::size_t>(buffered));
+    std::string raw;
+    while (std::getline(is, raw)) {
+        frame += raw;
+        frame += '\n';
+        if (isFrameEnd(raw))
+            break;
     }
-    if (!resp.policy.empty())
-        os << "policy " << resp.policy << "\n";
-    if (resp.ok) {
-        os << "lower-bound " << resp.lowerBound << "\n";
-        if (resp.hasSim) {
-            const SimResult &s = resp.sim;
-            os << "makespan " << s.makespan << "\n";
-            os << "compile-end " << s.compileEnd << "\n";
-            os << "exec-end " << s.execEnd << "\n";
-            os << "total-bubble " << s.totalBubble << "\n";
-            os << "bubble-count " << s.bubbleCount << "\n";
-            os << "total-exec " << s.totalExec << "\n";
-            os << "total-compile " << s.totalCompile << "\n";
-            if (!s.callsAtLevel.empty()) {
-                os << "calls-at-level";
-                for (const std::uint64_t n : s.callsAtLevel)
-                    os << ' ' << n;
-                os << "\n";
-            }
-        }
-        if (resp.hasSchedule) {
-            os << "schedule " << resp.schedule.size() << "\n";
-            for (const CompileEvent &ev : resp.schedule)
-                os << ev.func << ' ' << static_cast<int>(ev.level)
-                   << "\n";
-        }
-    }
-    if (include_stats)
-        writeStatsLine(os, resp.stats);
-    os << "end\n";
-}
-
-void
-writeStatsLine(std::ostream &os, const ServiceStats &stats)
-{
-    os << "stats cache-hits " << stats.cacheHits << " cache-misses "
-       << stats.cacheMisses << " queue-ns " << stats.queueNs
-       << " solve-ns " << stats.solveNs;
-    // Emitted only when the result cache served the response: a
-    // cache-off daemon's frames stay byte-identical to pre-cache
-    // builds.
-    if (stats.resultCache != 0)
-        os << " result-cache " << stats.resultCache;
-    if (stats.traceId != 0)
-        os << " trace-id " << obs::traceIdHex(stats.traceId);
-    os << "\n";
+    return tryReadRequest(std::string_view(frame), error);
 }
 
 std::string
 responseText(const ServiceResponse &resp, bool include_stats)
 {
-    std::ostringstream os;
-    writeResponse(os, resp, include_stats);
-    return os.str();
+    std::string out;
+    appendField(out, "jitsched-response", resp.id);
+    if (resp.ok) {
+        out += "status ok\n";
+    } else {
+        out += "status error ";
+        out += resp.code.empty() ? errcode::unavailable : resp.code;
+        out += "\nerror ";
+        out += resp.error;
+        out += '\n';
+    }
+    if (!resp.policy.empty()) {
+        out += "policy ";
+        out += resp.policy;
+        out += '\n';
+    }
+    if (resp.ok) {
+        appendField(out, "lower-bound", resp.lowerBound);
+        if (resp.hasSim) {
+            const SimResult &s = resp.sim;
+            appendField(out, "makespan", s.makespan);
+            appendField(out, "compile-end", s.compileEnd);
+            appendField(out, "exec-end", s.execEnd);
+            appendField(out, "total-bubble", s.totalBubble);
+            appendField(out, "bubble-count", s.bubbleCount);
+            appendField(out, "total-exec", s.totalExec);
+            appendField(out, "total-compile", s.totalCompile);
+            if (!s.callsAtLevel.empty()) {
+                out += "calls-at-level";
+                for (const std::uint64_t n : s.callsAtLevel) {
+                    out += ' ';
+                    appendInt(out, n);
+                }
+                out += '\n';
+            }
+        }
+        if (resp.hasSchedule) {
+            appendField(out, "schedule", resp.schedule.size());
+            for (const CompileEvent &ev : resp.schedule) {
+                appendInt(out, ev.func);
+                out += ' ';
+                appendInt(out, static_cast<int>(ev.level));
+                out += '\n';
+            }
+        }
+    }
+    if (include_stats)
+        appendStatsLine(out, resp.stats);
+    out += "end\n";
+    return out;
+}
+
+void
+appendStatsLine(std::string &out, const ServiceStats &stats)
+{
+    out += "stats cache-hits ";
+    appendInt(out, stats.cacheHits);
+    out += " cache-misses ";
+    appendInt(out, stats.cacheMisses);
+    out += " queue-ns ";
+    appendInt(out, stats.queueNs);
+    out += " solve-ns ";
+    appendInt(out, stats.solveNs);
+    // Emitted only when the result cache served the response: a
+    // cache-off daemon's frames stay byte-identical to pre-cache
+    // builds.
+    if (stats.resultCache != 0) {
+        out += " result-cache ";
+        appendInt(out, stats.resultCache);
+    }
+    if (stats.traceId != 0) {
+        out += " trace-id ";
+        out += obs::traceIdHex(stats.traceId);
+    }
+    out += '\n';
 }
 
 namespace {
@@ -1388,41 +1429,36 @@ makePongResponse(std::uint64_t id)
 namespace {
 
 /** First whitespace token of a frame's first meaningful line. */
-std::string
-frameTag(const std::string &frame)
+std::string_view
+frameTag(std::string_view frame)
 {
-    std::istringstream is(frame);
-    const auto first = nextLine(is);
-    if (!first)
-        return {};
-    std::istringstream hs(*first);
-    std::string tag;
-    hs >> tag;
-    return tag;
+    LineCursor lines(frame);
+    const auto first = lines.next();
+    return first ? Tokenizer(*first).next() : std::string_view();
 }
 
 } // anonymous namespace
 
 bool
-isStatsRequestFrame(const std::string &frame)
+isStatsRequestFrame(std::string_view frame)
 {
     return frameTag(frame) == "jitsched-stats";
 }
 
 bool
-isPingRequestFrame(const std::string &frame)
+isPingRequestFrame(std::string_view frame)
 {
     return frameTag(frame) == "jitsched-ping";
 }
 
 bool
-isDumpRequestFrame(const std::string &frame)
+isDumpRequestFrame(std::string_view frame)
 {
     return frameTag(frame) == "jitsched-dump";
 }
 
 bool
-isSnapshotRequestFrame(const std::string &frame)
+isSnapshotRequestFrame(std::string_view frame)
 {
     return frameTag(frame) == "jitsched-snapshot";
 }

@@ -271,38 +271,50 @@ struct StatsResponse
     std::vector<std::string> lines;
 };
 
-/** Serialize a request frame. */
-void writeRequest(std::ostream &os, const ServiceRequest &req);
+/**
+ * Append the lines between a request frame's header and its `end`:
+ * `policy`, the option lines in canonical order, `payload` and the
+ * workload.  With @p volatile_options false the non-semantic
+ * deadline-ms and trace-id options are left out — the result
+ * cache's key material.
+ */
+void appendRequestBody(std::string &out, const ServiceRequest &req,
+                       bool volatile_options);
 
 /** Request frame as a string (what the client sends). */
 std::string requestText(const ServiceRequest &req);
 
 /**
- * Parse one request frame, consuming through its `end` line.
+ * Parse one request frame — the one request parser.  Parsing ends at
+ * the frame's first `end` line; anything after it is ignored.
  * @param error receives a description of the first problem
  * @return the request, or nullopt on malformed input
+ */
+std::optional<ServiceRequest>
+tryReadRequest(std::string_view frame, std::string *error = nullptr);
+
+/**
+ * Stream adapter: buffers lines through the frame's first `end`
+ * line (leaving the rest unread) and parses them with the parser
+ * above.
  */
 std::optional<ServiceRequest>
 tryReadRequest(std::istream &is, std::string *error = nullptr);
 
 /**
- * Serialize a response frame.
+ * Response frame as a string.
  * @param include_stats when false the volatile `stats` line is
  *        omitted — the deterministic block clients compare on
  */
-void writeResponse(std::ostream &os, const ServiceResponse &resp,
-                   bool include_stats = true);
-
-/** Response frame as a string. */
 std::string responseText(const ServiceResponse &resp,
                          bool include_stats = true);
 
 /**
- * Serialize just the volatile `stats ...` line (newline included) —
- * what writeResponse() appends and what the result cache stitches
+ * Append just the volatile `stats ...` line (newline included) —
+ * what responseText() emits and what the result cache stitches
  * onto a stored body to rebuild a full frame.
  */
-void writeStatsLine(std::ostream &os, const ServiceStats &stats);
+void appendStatsLine(std::string &out, const ServiceStats &stats);
 
 /** Parse one response frame, consuming through its `end` line. */
 std::optional<ServiceResponse>
@@ -489,16 +501,16 @@ PongResponse makePongResponse(std::uint64_t id);
  * header — how the connection handler routes a frame to the scrape
  * path without attempting a full request parse.
  */
-bool isStatsRequestFrame(const std::string &frame);
+bool isStatsRequestFrame(std::string_view frame);
 
 /** Same routing test for `jitsched-ping` frames. */
-bool isPingRequestFrame(const std::string &frame);
+bool isPingRequestFrame(std::string_view frame);
 
 /** Same routing test for `jitsched-dump` frames. */
-bool isDumpRequestFrame(const std::string &frame);
+bool isDumpRequestFrame(std::string_view frame);
 
 /** Same routing test for `jitsched-snapshot` frames. */
-bool isSnapshotRequestFrame(const std::string &frame);
+bool isSnapshotRequestFrame(std::string_view frame);
 
 /**
  * True when @p raw_line (after comment/whitespace stripping) is the

@@ -4,13 +4,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "obs/instruments.hh"
 #include "support/logging.hh"
 #include "support/strutil.hh"
-#include "trace/trace_io.hh"
 
 namespace jitsched {
 
@@ -46,16 +44,6 @@ chainBytes(std::uint64_t state, const std::string &bytes)
     if (filled != 0)
         state = mix64(state ^ mix64(word));
     return state;
-}
-
-/** Serialize a double exactly like protocol.cc's writeDouble. */
-void
-writeDouble(std::ostream &os, double v)
-{
-    std::ostringstream tmp;
-    tmp.precision(std::numeric_limits<double>::max_digits10);
-    tmp << v;
-    os << tmp.str();
 }
 
 bool
@@ -117,35 +105,16 @@ ResultCache::maxEntryBytes() const
 std::string
 ResultCache::keyMaterial(const ServiceRequest &req)
 {
-    // Mirrors writeRequest()'s normalized option order with the
-    // non-semantic fields dropped: no id, no deadline-ms, no
-    // trace-id.  jitter-seed follows the writer's rule — omitted
-    // when sigma is 0, where the simulator never reads it — so
-    // requests differing only in a dormant seed share one entry.
-    std::ostringstream os;
-    os << "policy " << req.policy << "\n";
-    const ServiceOptions &o = req.options;
-    os << "option compile-cores " << o.compileCores << "\n";
-    os << "option model "
-       << (o.model == ModelKind::Oracle ? "oracle" : "default")
-       << "\n";
-    if (o.jitterSigma != 0.0) {
-        os << "option jitter-sigma ";
-        writeDouble(os, o.jitterSigma);
-        os << "\n";
-        os << "option jitter-seed " << o.jitterSeed << "\n";
-    }
-    os << "option astar-max-expansions " << o.astarMaxExpansions
-       << "\n";
-    os << "option astar-memory-mb " << o.astarMemoryMb << "\n";
-    // Kept in the key: the parallel search promises cost determinism
-    // across worker counts, not schedule identity, and the cache
-    // promises byte identity.
-    if (o.astarThreads != 0)
-        os << "option threads " << o.astarThreads << "\n";
-    os << "payload\n";
-    writeWorkload(os, req.workload);
-    return os.str();
+    // The request body without the non-semantic fields: no id, no
+    // deadline-ms, no trace-id.  jitter-seed follows the writer's
+    // rule — omitted when sigma is 0, where the simulator never reads
+    // it — so requests differing only in a dormant seed share one
+    // entry.  threads stays in the key: the parallel search promises
+    // cost determinism across worker counts, not schedule identity,
+    // and the cache promises byte identity.
+    std::string out;
+    appendRequestBody(out, req, /*volatile_options=*/false);
+    return out;
 }
 
 std::uint64_t
@@ -579,7 +548,7 @@ ResultCache::clear()
 std::string
 responseBodyText(const ServiceResponse &resp)
 {
-    // Everything writeResponse() emits between the header line and
+    // Everything responseText() emits between the header line and
     // the stats line: serialize without stats, then strip the header
     // and the trailing `end`.
     const std::string full = responseText(resp, /*include_stats=*/
@@ -598,12 +567,13 @@ std::string
 cachedResponseText(std::uint64_t id, const std::string &body,
                    const ServiceStats &stats)
 {
-    std::ostringstream os;
-    os << "jitsched-response " << id << "\n";
-    os << body;
-    writeStatsLine(os, stats);
-    os << "end\n";
-    return os.str();
+    std::string out = "jitsched-response ";
+    appendInt(out, id);
+    out += '\n';
+    out += body;
+    appendStatsLine(out, stats);
+    out += "end\n";
+    return out;
 }
 
 std::size_t

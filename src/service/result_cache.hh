@@ -18,9 +18,9 @@
  * byte-identical to a fresh solve.  Only ok responses are admitted.
  *
  * Keying: a canonical key material string — the request re-serialized
- * in writeRequest()'s normalized option order with the non-semantic
+ * in requestText()'s normalized option order with the non-semantic
  * fields (id, deadline-ms, trace-id) dropped and jitter-seed
- * canonicalized to writeRequest()'s omit-when-sigma-is-zero rule —
+ * canonicalized to requestText()'s omit-when-sigma-is-zero rule —
  * hashed with the repo's standard splitmix64 chain.  The hash indexes
  * a sharded LRU; every hit compares the full key material, so hash
  * collisions degrade to misses, never to wrong answers.  `threads`
@@ -220,7 +220,7 @@ class ResultCache
     /**
      * Canonical key material: the request re-serialized without id,
      * deadline-ms, or trace-id, with jitter-seed omitted when
-     * jitter-sigma is 0 (writeRequest()'s own normalization).  Two
+     * jitter-sigma is 0 (requestText()'s own normalization).  Two
      * requests with equal material are answered from one entry.
      */
     static std::string keyMaterial(const ServiceRequest &req);

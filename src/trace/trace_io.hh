@@ -25,19 +25,24 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "trace/workload.hh"
 
 namespace jitsched {
 
-/** Serialize a workload to a stream in the text format above. */
+/** Append a workload in the text format above to @p out. */
+void appendWorkload(std::string &out, const Workload &w);
+
+/** Serialize a workload to a stream (appendWorkload's bytes). */
 void writeWorkload(std::ostream &os, const Workload &w);
 
 /** Serialize a workload to a file; fatal() on I/O failure. */
 void writeWorkloadFile(const std::string &path, const Workload &w);
 
 /**
- * Parse a workload from a stream without killing the process.
+ * Parse a workload from text without killing the process — the one
+ * workload parser; every other entry point feeds it.
  *
  * This is the parse path for inputs that arrive from *other
  * programs* — above all the scheduling service, where a malformed
@@ -48,12 +53,20 @@ void writeWorkloadFile(const std::string &path, const Workload &w);
  *
  * @param error receives a description of the first problem found
  *              (unchanged on success); may be null
- * @param stop_line when non-empty, parsing consumes lines up to and
- *              including the first line that (after comment/space
- *              stripping) equals this terminator, instead of reading
- *              to EOF — how the wire protocol embeds a workload in a
- *              larger stream
+ * @param stop_line when non-empty, parsing ends at the first line
+ *              that (after comment/space stripping) equals this
+ *              terminator instead of at the end of @p text — how the
+ *              wire protocol embeds a workload in a larger frame
  * @return the workload, or nullopt on malformed input
+ */
+std::optional<Workload>
+tryReadWorkload(std::string_view text, std::string *error = nullptr,
+                std::string_view stop_line = {});
+
+/**
+ * Stream adapter for the parser above: buffers lines up to and
+ * including @p stop_line (or to EOF when it is empty), leaving the
+ * rest of the stream unread, and parses the buffer.
  */
 std::optional<Workload>
 tryReadWorkload(std::istream &is, std::string *error = nullptr,

@@ -60,7 +60,7 @@ TEST(ResultCacheKey, IgnoresIdDeadlineAndTraceId)
 
 TEST(ResultCacheKey, IgnoresDormantJitterSeed)
 {
-    // writeRequest() omits jitter-seed when sigma is 0 (the
+    // requestText() omits jitter-seed when sigma is 0 (the
     // simulator never reads it); the key follows the same rule.
     ServiceRequest a = makeRequest();
     ServiceRequest b = makeRequest();

@@ -3,6 +3,8 @@
  * Unit tests for string / formatting utilities.
  */
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "support/strutil.hh"
@@ -60,6 +62,76 @@ TEST(ParseInt, Invalid)
     EXPECT_FALSE(parseInt("12x").has_value());
     EXPECT_FALSE(parseInt("1.5").has_value());
     EXPECT_FALSE(parseInt("99999999999999999999999").has_value());
+}
+
+// The edges where std::from_chars and strtoll part ways; parseInt
+// must answer exactly as the strtoll version did.
+TEST(ParseInt, EdgeTableMatchesStrtoll)
+{
+    constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+    constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+    const struct
+    {
+        const char *text;
+        std::optional<std::int64_t> want;
+    } kTable[] = {
+        {"+5", 5},
+        {"-0", 0},
+        {" 7 ", 7},
+        {"\t-12\r", -12},
+        {"9223372036854775807", kMax},
+        {"+9223372036854775807", kMax},
+        {"9223372036854775808", std::nullopt}, // INT64_MAX + 1
+        {"-9223372036854775808", kMin},
+        {"-9223372036854775809", std::nullopt}, // INT64_MIN - 1
+        {"0x10", std::nullopt},
+        {"1e3", std::nullopt},
+        {"", std::nullopt},
+        {"   ", std::nullopt},
+        {"+", std::nullopt},
+        {"-", std::nullopt},
+        {"+-5", std::nullopt},
+        {"-+5", std::nullopt},
+        {"++5", std::nullopt},
+        {"- 5", std::nullopt},
+        {"5 5", std::nullopt},
+        {"007", 7},
+    };
+    for (const auto &row : kTable)
+        EXPECT_EQ(parseInt(row.text), row.want) << "'" << row.text << "'";
+}
+
+TEST(LineCursor, SkipsBlankAndCommentLinesAndKeepsTheRest)
+{
+    LineCursor lines(" a b # c\n\n  # only\r\n\tx\r\nend\ntail");
+    EXPECT_EQ(lines.next(), "a b");
+    EXPECT_EQ(lines.next(), "x");
+    EXPECT_EQ(lines.next(), "end");
+    EXPECT_EQ(lines.rest(), "tail");
+    EXPECT_EQ(lines.next(), "tail");
+    EXPECT_FALSE(lines.next().has_value());
+}
+
+TEST(Tokenizer, SplitsOnEveryCLocaleSpace)
+{
+    Tokenizer toks(" a\tbb\v c\fd\r ");
+    EXPECT_EQ(toks.next(), "a");
+    EXPECT_EQ(toks.next(), "bb");
+    EXPECT_EQ(toks.next(), "c");
+    EXPECT_EQ(toks.next(), "d");
+    EXPECT_EQ(toks.next(), "");
+    EXPECT_EQ(toks.next(), "");
+}
+
+TEST(AppendInt, MatchesToString)
+{
+    std::string out;
+    appendInt(out, std::numeric_limits<std::int64_t>::min());
+    out += ' ';
+    appendInt(out, std::numeric_limits<std::uint64_t>::max());
+    out += ' ';
+    appendInt(out, 0);
+    EXPECT_EQ(out, "-9223372036854775808 18446744073709551615 0");
 }
 
 TEST(ParseDouble, Valid)
