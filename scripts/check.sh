@@ -44,9 +44,10 @@
 #                              # can still detect a broken oracle)
 #   scripts/check.sh --asan    # also build the tree with
 #                              # -fsanitize=address,undefined in
-#                              # build-asan/ and run the `qa` and
-#                              # `service` test labels plus a short
-#                              # fuzz smoke under the sanitizers
+#                              # build-asan/ and run the `qa`,
+#                              # `service` and `cluster` test labels
+#                              # plus a short fuzz smoke under the
+#                              # sanitizers
 #   scripts/check.sh --cluster-smoke
 #                              # also drive the real cluster binaries
 #                              # end to end: two jitschedd backends +
@@ -619,17 +620,19 @@ if [ "$run_fuzz_smoke" -eq 1 ]; then
 fi
 
 if [ "$run_asan" -eq 1 ]; then
-    echo "== ASan+UBSan pass (qa + service labels, fuzz smoke) =="
+    echo "== ASan+UBSan pass (qa + service + cluster labels, fuzz" \
+         "smoke) =="
     cmake -B build-asan -S . -DJITSCHED_ASAN=ON \
         -DJITSCHED_BUILD_BENCH=OFF -DJITSCHED_BUILD_EXAMPLES=OFF \
         >/dev/null
     cmake --build build-asan --target test_qa test_service \
-        jitsched-fuzz -j
+        test_cluster jitsched-fuzz -j
     # Run the binaries directly (as the TSan pass does): only these
     # targets exist in build-asan/, so ctest's discovery files for
     # the rest of the suite would be missing.
     ./build-asan/tests/test_qa
     ./build-asan/tests/test_service
+    ./build-asan/tests/test_cluster
     asan_corpus="$(mktemp -d)"
     ./build-asan/bin/jitsched-fuzz solvers --seconds 10 --seed 2 \
         --corpus-dir "$asan_corpus"

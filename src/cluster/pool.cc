@@ -1,6 +1,5 @@
 #include "cluster/pool.hh"
 
-#include <sstream>
 #include <utility>
 
 #include "obs/instruments.hh"
@@ -195,13 +194,12 @@ BackendPool::probeBackend(Slot &slot)
     conn.setReadTimeout(cfg_.probeTimeoutMs);
     PingRequest ping;
     ping.id = 1;
-    if (!conn.sendFrame(pingRequestText(ping)))
+    if (!conn.sendFrame(frameText(ping)))
         return false;
     std::optional<std::string> frame = conn.readFrame();
     if (!frame.has_value())
         return false;
-    std::istringstream is(*frame);
-    std::optional<PongResponse> pong = tryReadPongResponse(is);
+    const auto pong = tryReadFrame<PongResponse>(*frame);
     return pong.has_value() && pong->ok && pong->id == ping.id;
 }
 

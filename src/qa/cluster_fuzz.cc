@@ -367,21 +367,12 @@ ClusterFuzzer::runCase(Rng &rng, const FuzzDomain &domain,
                 dropped = true; // deliberate disconnect is legal
                 break;
             }
-            std::istringstream is(*raw);
-            std::string perr;
-            if (!tryReadResponse(is, &perr).has_value()) {
-                std::istringstream is2(*raw);
-                if (!tryReadStatsResponse(is2, &perr).has_value()) {
-                    std::istringstream is3(*raw);
-                    if (!tryReadPongResponse(is3, &perr)
-                             .has_value()) {
-                        report(out, "cluster-loopback",
-                               "unparseable router response to a "
-                               "mangled frame:\n" +
-                                   *raw);
-                        return;
-                    }
-                }
+            if (!parseableAsAnyResponse(*raw)) {
+                report(out, "cluster-loopback",
+                       "unparseable router response to a "
+                       "mangled frame:\n" +
+                           *raw);
+                return;
             }
         }
         if (dropped) {

@@ -322,9 +322,9 @@ runProtocol(const FuzzArgs &args)
         Rng rng = Rng::caseStream(args.seed, cases);
         std::vector<Violation> violations;
 
-        // Parser harness: a valid frame put through 0-3 byte-level
-        // mutations, then every non-fatal parser.
-        std::string bytes = randomRequestFrame(rng, domain);
+        // Parser harness: a valid frame of any verb put through 0-3
+        // byte-level mutations, then its verb's parser.
+        std::string bytes = randomFrame(rng, domain);
         const std::uint64_t mutations = rng.nextBelow(4);
         for (std::uint64_t m = 0; m < mutations; ++m)
             bytes = mutateFrameBytes(bytes, rng);

@@ -7,6 +7,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "service/engine.hh"
@@ -87,132 +88,41 @@ void
 checkProtocolBytes(const std::string &bytes,
                    std::vector<Violation> &out, bool serve_parsed)
 {
+    // Every verb's parser, picked by the header tag: reject or
+    // parse, and a parse must round-trip (parse → serialize → parse
+    // → serialize is a fixpoint).
     std::string err;
+    const auto frame = tryReadAnyFrame(bytes, &err);
+    if (!frame.has_value())
+        return;
+    const std::string t1 = frameText(*frame);
+    const std::string verb(frameTag(t1));
+    const auto again = tryReadAnyFrame(t1, &err);
+    if (!again.has_value())
+        report(out, "proto-roundtrip",
+               "serialized accepted " + verb +
+                   " frame failed to reparse: " + err);
+    else if (frameText(*again) != t1)
+        report(out, "proto-roundtrip",
+               verb + " serialization is not a fixpoint");
 
-    // Request parser: reject or parse; parses must round-trip and
-    // serve.
-    {
-        std::istringstream is(bytes);
-        auto req = tryReadRequest(is, &err);
-        if (req.has_value()) {
-            const std::string t1 = requestText(*req);
-            std::istringstream is2(t1);
-            auto req2 = tryReadRequest(is2, &err);
-            if (!req2.has_value()) {
-                report(out, "proto-roundtrip",
-                       "serialized accepted request failed to "
-                       "reparse: " +
-                           err);
-            } else if (requestText(*req2) != t1) {
-                report(out, "proto-roundtrip",
-                       "request serialization is not a fixpoint");
-            }
-            if (serve_parsed && req->workload.numCalls() <= 512 &&
-                req->workload.numFunctions() <= 16) {
-                ServiceRequest capped = *req;
-                clampOptions(capped);
-                const ServiceResponse resp =
-                    localEngine().serve(capped);
-                const std::string r1 = responseText(resp);
-                std::istringstream rs(r1);
-                auto back = tryReadResponse(rs, &err);
-                if (!back.has_value()) {
-                    report(out, "proto-roundtrip",
-                           "served response failed to reparse: " +
-                               err);
-                } else if (responseText(*back) != r1) {
-                    report(out, "proto-roundtrip",
-                           "response serialization is not a "
-                           "fixpoint");
-                }
-            }
-        }
-    }
-
-    // Response parser.
-    {
-        std::istringstream is(bytes);
-        auto resp = tryReadResponse(is, &err);
-        if (resp.has_value()) {
-            const std::string t1 = responseText(*resp);
-            std::istringstream is2(t1);
-            auto resp2 = tryReadResponse(is2, &err);
-            if (!resp2.has_value())
-                report(out, "proto-roundtrip",
-                       "serialized accepted response failed to "
-                       "reparse: " +
-                           err);
-            else if (responseText(*resp2) != t1)
-                report(out, "proto-roundtrip",
-                       "response serialization is not a fixpoint");
-        }
-    }
-
-    // Stats frames (scrape request and snapshot response).
-    {
-        std::istringstream is(bytes);
-        auto sreq = tryReadStatsRequest(is, &err);
-        if (sreq.has_value()) {
-            const std::string t1 = statsRequestText(*sreq);
-            std::istringstream is2(t1);
-            if (!tryReadStatsRequest(is2, &err).has_value())
-                report(out, "proto-roundtrip",
-                       "serialized stats request failed to "
-                       "reparse: " +
-                           err);
-        }
-    }
-    {
-        std::istringstream is(bytes);
-        auto sresp = tryReadStatsResponse(is, &err);
-        if (sresp.has_value()) {
-            const std::string t1 = statsResponseText(*sresp);
-            std::istringstream is2(t1);
-            auto sresp2 = tryReadStatsResponse(is2, &err);
-            if (!sresp2.has_value())
-                report(out, "proto-roundtrip",
-                       "serialized stats response failed to "
-                       "reparse: " +
-                           err);
-            else if (statsResponseText(*sresp2) != t1)
-                report(out, "proto-roundtrip",
-                       "stats response serialization is not a "
-                       "fixpoint");
-        }
-    }
-
-    // Ping frames (probe request and pong response).
-    {
-        std::istringstream is(bytes);
-        auto preq = tryReadPingRequest(is, &err);
-        if (preq.has_value()) {
-            const std::string t1 = pingRequestText(*preq);
-            std::istringstream is2(t1);
-            if (!tryReadPingRequest(is2, &err).has_value())
-                report(out, "proto-roundtrip",
-                       "serialized ping request failed to "
-                       "reparse: " +
-                           err);
-        }
-    }
-    {
-        std::istringstream is(bytes);
-        auto pong = tryReadPongResponse(is, &err);
-        if (pong.has_value()) {
-            const std::string t1 = pongResponseText(*pong);
-            std::istringstream is2(t1);
-            auto pong2 = tryReadPongResponse(is2, &err);
-            if (!pong2.has_value())
-                report(out, "proto-roundtrip",
-                       "serialized pong response failed to "
-                       "reparse: " +
-                           err);
-            else if (pongResponseText(*pong2) != t1)
-                report(out, "proto-roundtrip",
-                       "pong response serialization is not a "
-                       "fixpoint");
-        }
-    }
+    // Accepted requests must also serve, and the served response
+    // round-trip.
+    const auto *req = std::get_if<ServiceRequest>(&*frame);
+    if (req == nullptr || !serve_parsed ||
+        req->workload.numCalls() > 512 ||
+        req->workload.numFunctions() > 16)
+        return;
+    ServiceRequest capped = *req;
+    clampOptions(capped);
+    const std::string r1 = responseText(localEngine().serve(capped));
+    const auto back = tryReadFrame<ServiceResponse>(r1, &err);
+    if (!back.has_value())
+        report(out, "proto-roundtrip",
+               "served response failed to reparse: " + err);
+    else if (responseText(*back) != r1)
+        report(out, "proto-roundtrip",
+               "response serialization is not a fixpoint");
 }
 
 std::string
@@ -229,6 +139,179 @@ randomRequestFrame(Rng &rng, const FuzzDomain &domain)
         req.options.compileCores = 1 + rng.nextBelow(4);
     req.workload = randomWorkload(rng, domain);
     return requestText(req);
+}
+
+namespace {
+
+/** A word from @p words. */
+template <std::size_t N>
+const char *
+pick(Rng &rng, const char *const (&words)[N])
+{
+    return words[rng.nextBelow(N)];
+}
+
+/** Ids and counts: small, typical, or near the top of int64. */
+std::uint64_t
+randomCount(Rng &rng)
+{
+    switch (rng.nextBelow(3)) {
+    case 0:
+        return rng.nextBelow(16);
+    case 1:
+        return rng.nextBelow(1u << 30);
+    default:
+        return rng.next() >> 1;
+    }
+}
+
+/** Status, code and message of a random response. */
+template <typename Resp>
+void
+randomStatus(Rng &rng, Resp &resp)
+{
+    static const char *const kCodes[] = {
+        "", errcode::invalidArgument, errcode::deadlineExceeded,
+        errcode::resourceExhausted, errcode::unavailable,
+    };
+    static const char *const kMessages[] = {
+        "", "solver refused", "  padded  message", "has # a comment",
+        "protocol parse error: bad id '-1'",
+    };
+    resp.id = randomCount(rng);
+    resp.ok = rng.nextBool(0.7);
+    if (!resp.ok) {
+        resp.code = pick(rng, kCodes);
+        resp.error = pick(rng, kMessages);
+    }
+}
+
+ServiceResponse
+randomResponse(Rng &rng, const FuzzDomain &domain)
+{
+    ServiceResponse resp;
+    randomStatus(rng, resp);
+    static const char *const kPolicies[] = {"", "iar", "astar-par",
+                                            "lower-bound"};
+    resp.policy = pick(rng, kPolicies);
+    resp.lowerBound = rng.nextRange(-5, 1 << 30);
+    resp.hasSim = rng.nextBool(0.8);
+    SimResult &s = resp.sim;
+    s.makespan = rng.nextRange(0, 1ll << 40);
+    s.compileEnd = rng.nextRange(0, 1ll << 40);
+    s.execEnd = rng.nextRange(0, 1ll << 40);
+    s.totalBubble = rng.nextRange(-1, 1ll << 40);
+    s.bubbleCount = randomCount(rng);
+    s.totalExec = rng.nextRange(0, 1ll << 40);
+    s.totalCompile = rng.nextRange(0, 1ll << 40);
+    for (std::size_t l = rng.nextBelow(domain.maxLevels + 1); l > 0; --l)
+        s.callsAtLevel.push_back(randomCount(rng));
+    resp.hasSchedule = rng.nextBool(0.7);
+    for (std::size_t k = rng.nextBelow(domain.maxCalls); k > 0; --k)
+        resp.schedule.push_back(
+            {static_cast<FuncId>(rng.nextBelow(domain.maxFunctions)),
+             static_cast<Level>(rng.nextBelow(domain.maxLevels))});
+    resp.stats.cacheHits = randomCount(rng);
+    resp.stats.cacheMisses = randomCount(rng);
+    resp.stats.queueNs = rng.nextRange(-10, 1ll << 50);
+    resp.stats.solveNs = rng.nextRange(0, 1ll << 50);
+    resp.stats.resultCache = rng.nextBelow(3);
+    resp.stats.traceId = rng.nextBool(0.5) ? rng.next() : 0;
+    return resp;
+}
+
+StatsResponse
+randomStatsResponse(Rng &rng)
+{
+    static const char *const kLines[] = {
+        "counter service.frames.served 12",
+        "gauge service.queue.depth 0",
+        "# HELP service_frames_served frames",
+        "# TYPE service_frames_served counter",
+        "service_frames_served 12",
+        "end",
+        "",
+    };
+    StatsResponse resp;
+    randomStatus(rng, resp);
+    resp.prom = rng.nextBool(0.3);
+    for (std::size_t n = rng.nextBelow(6); n > 0; --n)
+        resp.lines.push_back(pick(rng, kLines));
+    return resp;
+}
+
+DumpResponse
+randomDumpResponse(Rng &rng)
+{
+    static const char *const kNames[] = {"", "iar", "ok",
+                                         errcode::unavailable};
+    DumpResponse resp;
+    randomStatus(rng, resp);
+    for (std::size_t n = rng.nextBelow(4); n > 0; --n) {
+        obs::FlightRecord r;
+        r.traceId = rng.nextBool(0.5) ? rng.next() : 0;
+        r.requestId = randomCount(rng);
+        r.policy = pick(rng, kNames);
+        r.status = pick(rng, kNames);
+        r.queueNs = rng.nextRange(-10, 1ll << 40);
+        r.solveNs = rng.nextRange(0, 1ll << 40);
+        r.bytes = randomCount(rng);
+        r.hops = static_cast<std::uint32_t>(rng.next());
+        r.cached = rng.nextBool(0.5);
+        resp.records.push_back(std::move(r));
+    }
+    return resp;
+}
+
+} // anonymous namespace
+
+AnyFrame
+randomFrameOf(std::size_t verb, Rng &rng, const FuzzDomain &domain)
+{
+    switch (verb % std::variant_size_v<AnyFrame>) {
+    case 0: {
+        std::string text = randomRequestFrame(rng, domain);
+        return *tryReadRequest(std::string_view(text));
+    }
+    case 1:
+        return randomResponse(rng, domain);
+    case 2:
+        return StatsRequest{randomCount(rng), rng.nextBool(0.5)};
+    case 3:
+        return randomStatsResponse(rng);
+    case 4:
+        return DumpRequest{randomCount(rng)};
+    case 5:
+        return randomDumpResponse(rng);
+    case 6:
+        return SnapshotRequest{randomCount(rng)};
+    case 7: {
+        SnapshotResponse resp;
+        randomStatus(rng, resp);
+        resp.entries = randomCount(rng);
+        resp.bytes = randomCount(rng);
+        return resp;
+    }
+    case 8:
+        return PingRequest{randomCount(rng)};
+    default: {
+        PongResponse resp;
+        randomStatus(rng, resp);
+        return resp;
+    }
+    }
+}
+
+std::string
+randomFrame(Rng &rng, const FuzzDomain &domain)
+{
+    // Half requests — the frames that reach the solvers — and the
+    // rest spread over every other verb.
+    if (rng.nextBool(0.5))
+        return randomRequestFrame(rng, domain);
+    return frameText(randomFrameOf(
+        1 + rng.nextBelow(std::variant_size_v<AnyFrame> - 1), rng,
+        domain));
 }
 
 std::string
@@ -357,47 +440,19 @@ class RawConn
     std::unique_ptr<LineReader> reader_;
 };
 
-/**
- * Whether @p raw parses as some well-formed response frame.  A
- * mutated request can legitimately turn into any verb the server
- * speaks (a byte flip in the header makes a ping, a dump, ...), and
- * the server then answers in that verb's response grammar — all of
- * them are "the daemon stayed coherent", which is what the scenario
- * asserts.
- */
+} // anonymous namespace
+
 bool
 parseableAsAnyResponse(const std::string &raw)
 {
-    std::string perr;
-    {
-        std::istringstream is(raw);
-        if (tryReadResponse(is, &perr).has_value())
-            return true;
-    }
-    {
-        std::istringstream is(raw);
-        if (tryReadStatsResponse(is, &perr).has_value())
-            return true;
-    }
-    {
-        std::istringstream is(raw);
-        if (tryReadPongResponse(is, &perr).has_value())
-            return true;
-    }
-    {
-        std::istringstream is(raw);
-        if (tryReadDumpResponse(is, &perr).has_value())
-            return true;
-    }
-    {
-        std::istringstream is(raw);
-        if (tryReadSnapshotResponse(is, &perr).has_value())
-            return true;
-    }
-    return false;
+    const auto frame = tryReadAnyFrame(raw);
+    return frame.has_value() &&
+           (std::holds_alternative<ServiceResponse>(*frame) ||
+            std::holds_alternative<StatsResponse>(*frame) ||
+            std::holds_alternative<DumpResponse>(*frame) ||
+            std::holds_alternative<SnapshotResponse>(*frame) ||
+            std::holds_alternative<PongResponse>(*frame));
 }
-
-} // anonymous namespace
 
 struct LoopbackFuzzer::Impl
 {

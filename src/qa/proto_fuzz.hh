@@ -5,9 +5,9 @@
  *
  * Two layers, mirroring how a hostile client can hurt the daemon:
  *
- *  - Parser harness: arbitrary bytes through every non-fatal frame
- *    parser (tryReadRequest / tryReadResponse / the stats pair,
- *    which embed trace_io's tryReadWorkload).  The contract is
+ *  - Parser harness: arbitrary bytes through the frame parser of
+ *    whichever verb their header names (tryReadAnyFrame; requests
+ *    embed trace_io's tryReadWorkload).  The contract is
  *    "reject or parse, never crash, never allocate by declared
  *    size"; successful parses must additionally round-trip (parse →
  *    serialize → parse → serialize is a fixpoint) and serve without
@@ -32,13 +32,14 @@
 
 #include "qa/fuzz_workload.hh"
 #include "qa/oracles.hh"
+#include "service/protocol.hh"
 #include "support/rng.hh"
 
 namespace jitsched {
 namespace qa {
 
 /**
- * Run @p bytes through all four frame parsers and append any
+ * Run @p bytes through the frame parser of every verb and append any
  * contract violation.  With @p serve_parsed, frames that parse as
  * requests (and carry a sane call count) are also served by a
  * process-local ServiceEngine — a parse-accepting input must never
@@ -50,6 +51,28 @@ void checkProtocolBytes(const std::string &bytes,
 
 /** A valid request frame over a random fuzz workload. */
 std::string randomRequestFrame(Rng &rng, const FuzzDomain &domain);
+
+/**
+ * A valid frame of verb @p verb, an index into AnyFrame's
+ * alternatives (taken modulo their count), with random field values.
+ */
+AnyFrame randomFrameOf(std::size_t verb, Rng &rng,
+                       const FuzzDomain &domain);
+
+/**
+ * A valid frame of a random verb: a request half the time, else any
+ * other verb's frame — responses included — from randomFrameOf().
+ */
+std::string randomFrame(Rng &rng, const FuzzDomain &domain);
+
+/**
+ * Whether @p raw parses as a well-formed response frame of any verb.
+ * A mutated request can legitimately turn into any verb the server
+ * speaks (a byte flip in the header makes a ping, a dump, ...), and
+ * the server then answers in that verb's response grammar — all of
+ * them are "the server stayed coherent".
+ */
+bool parseableAsAnyResponse(const std::string &raw);
 
 /**
  * One random byte-level mutation: truncation, byte flip, line

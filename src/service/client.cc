@@ -1,6 +1,5 @@
 #include "service/client.hh"
 
-#include <sstream>
 #include <utility>
 
 #include "service/socket_util.hh"
@@ -83,95 +82,59 @@ ServiceClient::callRaw(const std::string &frame, std::string *error)
     return std::nullopt;
 }
 
+template <typename Resp, typename Req>
+std::optional<Resp>
+ServiceClient::exchange(const Req &req, std::string_view resp_name,
+                        std::string *error)
+{
+    const auto raw = callRaw(frameText(req), error);
+    if (!raw)
+        return std::nullopt;
+    std::string parse_error;
+    auto resp = tryReadFrame<Resp>(*raw, &parse_error);
+    if (!resp)
+        setError(error, "bad " + std::string(resp_name) +
+                            " frame: " + parse_error);
+    return resp;
+}
+
 bool
 ServiceClient::ping(std::uint64_t id, std::string *error)
 {
-    auto raw = callRaw(pingRequestText(PingRequest{id}), error);
-    if (!raw)
+    const auto pong =
+        exchange<PongResponse>(PingRequest{id}, "pong", error);
+    if (!pong)
         return false;
-    std::istringstream is(*raw);
-    std::string parse_error;
-    auto pong = tryReadPongResponse(is, &parse_error);
-    if (!pong) {
-        setError(error, "bad pong frame: " + parse_error);
-        return false;
-    }
-    if (!pong->ok) {
-        setError(error, "ping refused: " + pong->error);
-        return false;
-    }
+    if (!pong->ok)
+        return setError(error, "ping refused: " + pong->error);
     return true;
 }
 
 std::optional<StatsResponse>
 ServiceClient::stats(std::uint64_t id, std::string *error, bool prom)
 {
-    StatsRequest sreq;
-    sreq.id = id;
-    sreq.prom = prom;
-    auto raw = callRaw(statsRequestText(sreq), error);
-    if (!raw)
-        return std::nullopt;
-    std::istringstream is(*raw);
-    std::string parse_error;
-    auto resp = tryReadStatsResponse(is, &parse_error);
-    if (!resp) {
-        setError(error, "bad stats-response frame: " + parse_error);
-        return std::nullopt;
-    }
-    return resp;
+    return exchange<StatsResponse>(StatsRequest{id, prom},
+                                   "stats-response", error);
 }
 
 std::optional<DumpResponse>
 ServiceClient::dump(std::uint64_t id, std::string *error)
 {
-    DumpRequest dreq;
-    dreq.id = id;
-    auto raw = callRaw(dumpRequestText(dreq), error);
-    if (!raw)
-        return std::nullopt;
-    std::istringstream is(*raw);
-    std::string parse_error;
-    auto resp = tryReadDumpResponse(is, &parse_error);
-    if (!resp) {
-        setError(error, "bad dump-response frame: " + parse_error);
-        return std::nullopt;
-    }
-    return resp;
+    return exchange<DumpResponse>(DumpRequest{id}, "dump-response",
+                                  error);
 }
 
 std::optional<SnapshotResponse>
 ServiceClient::snapshot(std::uint64_t id, std::string *error)
 {
-    SnapshotRequest sreq;
-    sreq.id = id;
-    auto raw = callRaw(snapshotRequestText(sreq), error);
-    if (!raw)
-        return std::nullopt;
-    std::istringstream is(*raw);
-    std::string parse_error;
-    auto resp = tryReadSnapshotResponse(is, &parse_error);
-    if (!resp) {
-        setError(error, "bad snapshot-response frame: " + parse_error);
-        return std::nullopt;
-    }
-    return resp;
+    return exchange<SnapshotResponse>(SnapshotRequest{id},
+                                      "snapshot-response", error);
 }
 
 std::optional<ServiceResponse>
 ServiceClient::call(const ServiceRequest &req, std::string *error)
 {
-    auto raw = callRaw(requestText(req), error);
-    if (!raw)
-        return std::nullopt;
-    std::istringstream is(*raw);
-    std::string parse_error;
-    auto resp = tryReadResponse(is, &parse_error);
-    if (!resp) {
-        setError(error, "bad response frame: " + parse_error);
-        return std::nullopt;
-    }
-    return resp;
+    return exchange<ServiceResponse>(req, "response", error);
 }
 
 } // namespace jitsched

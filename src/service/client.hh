@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "service/protocol.hh"
 
@@ -123,6 +124,15 @@ class ServiceClient
                                        std::string *error = nullptr);
 
   private:
+    /**
+     * Send @p req and parse the answer as a @p Resp frame; a reply
+     * that does not parse fails with "bad <resp_name> frame: ...".
+     */
+    template <typename Resp, typename Req>
+    std::optional<Resp> exchange(const Req &req,
+                                 std::string_view resp_name,
+                                 std::string *error);
+
     int fd_ = -1;
     ClientConfig cfg_;
     TransportFailure last_failure_ = TransportFailure::None;

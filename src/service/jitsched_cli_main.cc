@@ -223,7 +223,7 @@ main(int argc, char **argv)
             for (const std::string &line : resp->lines)
                 std::cout << line << "\n";
         } else {
-            writeStatsResponse(std::cout, *resp);
+            std::cout << frameText(*resp);
         }
         return resp->ok ? 0 : 1;
     }

@@ -1,17 +1,16 @@
 /**
  * @file
- * jitschedd's serving core: a loopback TCP front end over the
- * admission queue.
+ * jitschedd's serving core: the shared connection front end
+ * (service/frame_server.hh) over the admission queue.
  *
- * Thread shape: one acceptor thread accepts connections and hands
- * the fds to a fixed pool of connection handlers.  A handler reads
- * one request frame at a time (everything up to an `end` line),
- * parses it with the non-fatal protocol path, and either answers a
- * parse error immediately or submits the request to the admission
- * queue and relays the response.  Framing is recovered at the `end`
- * scan, so one malformed request never desynchronizes or kills a
- * connection — the client gets a structured INVALID_ARGUMENT frame
- * and can keep the socket.
+ * The front end accepts connections, frames requests and answers
+ * PING/STATS/DUMP inline; the daemon adds SNAPSHOT and the solve
+ * path.  A request frame is parsed with the non-fatal protocol path,
+ * and either a parse error is answered immediately or the request is
+ * submitted to the admission queue (after a result-cache probe) and
+ * the response relayed.  One malformed request never desynchronizes
+ * or kills a connection — the client gets a structured
+ * INVALID_ARGUMENT frame and can keep the socket.
  *
  * Embeddable by design: the loopback tests and bench_service run the
  * server in-process on an ephemeral port; jitschedd_main.cc adds
@@ -21,18 +20,13 @@
 #ifndef JITSCHED_SERVICE_SERVER_HH
 #define JITSCHED_SERVICE_SERVER_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_set>
-#include <vector>
+#include <string_view>
 
 #include "service/admission.hh"
 #include "service/engine.hh"
+#include "service/frame_server.hh"
 #include "service/result_cache.hh"
 
 namespace jitsched {
@@ -110,7 +104,7 @@ class ServiceServer
     void stop();
 
     /** The port actually bound (valid after start()). */
-    std::uint16_t port() const { return port_; }
+    std::uint16_t port() const { return front_.port(); }
 
     const std::string &bindAddress() const
     {
@@ -120,7 +114,7 @@ class ServiceServer
     /** Connections accepted since start(). */
     std::uint64_t connectionsAccepted() const
     {
-        return connections_.load(std::memory_order_relaxed);
+        return front_.connectionsAccepted();
     }
 
     /**
@@ -130,14 +124,11 @@ class ServiceServer
      */
     std::uint64_t connectionsDropped() const
     {
-        return dropped_.load(std::memory_order_relaxed);
+        return front_.connectionsDropped();
     }
 
     /** Request frames answered (valid and malformed). */
-    std::uint64_t framesServed() const
-    {
-        return frames_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t framesServed() const { return front_.framesServed(); }
 
     AdmissionQueue &admission() { return queue_; }
 
@@ -145,37 +136,17 @@ class ServiceServer
     ResultCache &resultCache() { return rcache_; }
 
   private:
-    void acceptLoop();
-    void handlerLoop();
-    void handleConnection(int fd);
+    /** The SNAPSHOT verb: save the result cache to its file. */
+    SnapshotResponse saveSnapshot(std::uint64_t id);
+
+    /** Every other frame: parse, probe the result cache, solve. */
+    std::string answerRequest(std::string_view frame);
 
     ServiceEngine &engine_;
     const ServerConfig cfg_;
     AdmissionQueue queue_;
     ResultCache rcache_;
-
-    int listen_fd_ = -1;
-    std::uint16_t port_ = 0;
-    std::atomic<bool> stopping_{false};
-    bool started_ = false;
-
-    std::mutex conn_mutex_;
-    std::condition_variable conn_cv_;
-    std::deque<int> conn_queue_;
-
-    /**
-     * Fds currently owned by a handler, so stop() can shutdown(2)
-     * them and unblock handlers parked in a read on an idle
-     * connection.  Guarded by conn_mutex_.
-     */
-    std::unordered_set<int> active_fds_;
-
-    std::atomic<std::uint64_t> connections_{0};
-    std::atomic<std::uint64_t> dropped_{0};
-    std::atomic<std::uint64_t> frames_{0};
-
-    std::thread acceptor_;
-    std::vector<std::thread> handlers_;
+    FrameServer front_;
 };
 
 } // namespace jitsched

@@ -47,6 +47,13 @@ class LineCursor
     /** Next non-blank cleaned line, or nullopt at the end. */
     std::optional<std::string_view> next();
 
+    /**
+     * Next line exactly as written — no comment stripping, blank
+     * lines included — or nullopt at the end (what std::getline
+     * yields).
+     */
+    std::optional<std::string_view> nextRaw();
+
     /** The text after the last line next() returned. */
     std::string_view rest() const { return rest_; }
 

@@ -248,23 +248,22 @@ TEST(ServiceProtocol, StatsRequestRoundTrip)
 {
     StatsRequest req;
     req.id = 99;
-    const std::string text = statsRequestText(req);
+    const std::string text = frameText(req);
     EXPECT_EQ(text, "jitsched-stats 99\nend\n");
-    EXPECT_TRUE(isStatsRequestFrame(text));
-    EXPECT_FALSE(isStatsRequestFrame("jitsched-request 99\nend\n"));
+    EXPECT_EQ(frameTag(text), tag::stats);
+    EXPECT_NE(frameTag("jitsched-request 99\nend\n"), tag::stats);
 
-    std::istringstream is(text);
     std::string error;
-    const auto back = tryReadStatsRequest(is, &error);
+    const auto back = tryReadFrame<StatsRequest>(text, &error);
     ASSERT_TRUE(back.has_value()) << error;
     EXPECT_EQ(back->id, 99u);
 }
 
 TEST(ServiceProtocol, StatsRequestRejectsABody)
 {
-    std::istringstream is("jitsched-stats 1\npayload\nend\n");
+    const std::string wire("jitsched-stats 1\npayload\nend\n");
     std::string error;
-    EXPECT_FALSE(tryReadStatsRequest(is, &error).has_value());
+    EXPECT_FALSE(tryReadFrame<StatsRequest>(wire, &error).has_value());
     EXPECT_NE(error.find("carries a body"), std::string::npos)
         << error;
 }
@@ -277,9 +276,9 @@ TEST(ServiceProtocol, StatsResponseOkRoundTrip)
         "gauge service.queue.depth 0\n");
     ASSERT_EQ(resp.lines.size(), 2u);
 
-    std::istringstream is(statsResponseText(resp));
+    const std::string wire = frameText(resp);
     std::string error;
-    const auto back = tryReadStatsResponse(is, &error);
+    const auto back = tryReadFrame<StatsResponse>(wire, &error);
     ASSERT_TRUE(back.has_value()) << error;
     EXPECT_EQ(back->id, 7u);
     EXPECT_TRUE(back->ok);
@@ -295,9 +294,9 @@ TEST(ServiceProtocol, StatsResponseErrorRoundTrip)
     resp.ok = false;
     resp.code = errcode::invalidArgument;
     resp.error = "bad stats request";
-    std::istringstream is(statsResponseText(resp));
+    const std::string wire = frameText(resp);
     std::string error;
-    const auto back = tryReadStatsResponse(is, &error);
+    const auto back = tryReadFrame<StatsResponse>(wire, &error);
     ASSERT_TRUE(back.has_value()) << error;
     EXPECT_FALSE(back->ok);
     EXPECT_EQ(back->code, errcode::invalidArgument);
@@ -307,13 +306,13 @@ TEST(ServiceProtocol, StatsResponseErrorRoundTrip)
 
 TEST(ServiceProtocol, StatsResponseTruncatedSnapshotFails)
 {
-    std::istringstream is("jitsched-stats-response 1\n"
+    const std::string wire("jitsched-stats-response 1\n"
                           "status ok\n"
                           "snapshot 5\n"
                           "counter a.b 1\n"
                           "end\n");
     std::string error;
-    EXPECT_FALSE(tryReadStatsResponse(is, &error).has_value());
+    EXPECT_FALSE(tryReadFrame<StatsResponse>(wire, &error).has_value());
     EXPECT_NE(error.find("snapshot truncated"), std::string::npos)
         << error;
 }
@@ -360,23 +359,22 @@ TEST(ServiceProtocol, PingRequestRoundTrip)
 {
     PingRequest req;
     req.id = 77;
-    const std::string text = pingRequestText(req);
-    EXPECT_TRUE(isPingRequestFrame(text));
-    EXPECT_FALSE(isPingRequestFrame("jitsched-request 77\nend\n"));
-    EXPECT_FALSE(isStatsRequestFrame(text));
+    const std::string text = frameText(req);
+    EXPECT_EQ(frameTag(text), tag::ping);
+    EXPECT_NE(frameTag("jitsched-request 77\nend\n"), tag::ping);
+    EXPECT_NE(frameTag(text), tag::stats);
 
-    std::istringstream is(text);
     std::string error;
-    const auto back = tryReadPingRequest(is, &error);
+    const auto back = tryReadFrame<PingRequest>(text, &error);
     ASSERT_TRUE(back.has_value()) << error;
     EXPECT_EQ(back->id, 77u);
 }
 
 TEST(ServiceProtocol, PingRequestRejectsABody)
 {
-    std::istringstream is("jitsched-ping 3\npayload\nend\n");
+    const std::string wire("jitsched-ping 3\npayload\nend\n");
     std::string error;
-    EXPECT_FALSE(tryReadPingRequest(is, &error).has_value());
+    EXPECT_FALSE(tryReadFrame<PingRequest>(wire, &error).has_value());
     EXPECT_FALSE(error.empty());
 }
 
@@ -385,9 +383,9 @@ TEST(ServiceProtocol, PongOkRoundTrip)
     const PongResponse resp = makePongResponse(77);
     EXPECT_TRUE(resp.ok);
 
-    std::istringstream is(pongResponseText(resp));
+    const std::string wire = frameText(resp);
     std::string error;
-    const auto back = tryReadPongResponse(is, &error);
+    const auto back = tryReadFrame<PongResponse>(wire, &error);
     ASSERT_TRUE(back.has_value()) << error;
     EXPECT_TRUE(back->ok);
     EXPECT_EQ(back->id, 77u);
@@ -402,9 +400,9 @@ TEST(ServiceProtocol, PongErrorRoundTrip)
     resp.code = errcode::unavailable;
     resp.error = "shutting down";
 
-    std::istringstream is(pongResponseText(resp));
+    const std::string wire = frameText(resp);
     std::string error;
-    const auto back = tryReadPongResponse(is, &error);
+    const auto back = tryReadFrame<PongResponse>(wire, &error);
     ASSERT_TRUE(back.has_value()) << error;
     EXPECT_FALSE(back->ok);
     EXPECT_EQ(back->id, 9u);

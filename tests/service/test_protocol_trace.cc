@@ -140,24 +140,24 @@ TEST(ProtocolTrace, StatsPromArgumentRoundTrips)
     StatsRequest req;
     req.id = 5;
     req.prom = true;
-    EXPECT_EQ(statsRequestText(req), "jitsched-stats 5 prom\nend\n");
+    EXPECT_EQ(frameText(req), "jitsched-stats 5 prom\nend\n");
 
-    std::istringstream is(statsRequestText(req));
+    const std::string wire = frameText(req);
     std::string error;
-    const auto back = tryReadStatsRequest(is, &error);
+    const auto back = tryReadFrame<StatsRequest>(wire, &error);
     ASSERT_TRUE(back.has_value()) << error;
     EXPECT_EQ(back->id, 5u);
     EXPECT_TRUE(back->prom);
 
     // Without the argument the flag stays off.
-    std::istringstream plain("jitsched-stats 5\nend\n");
-    const auto p = tryReadStatsRequest(plain);
+    const std::string plain("jitsched-stats 5\nend\n");
+    const auto p = tryReadFrame<StatsRequest>(plain);
     ASSERT_TRUE(p.has_value());
     EXPECT_FALSE(p->prom);
 
     // Unknown arguments are rejected, not ignored.
-    std::istringstream bad("jitsched-stats 5 json\nend\n");
-    EXPECT_FALSE(tryReadStatsRequest(bad, &error).has_value());
+    const std::string bad("jitsched-stats 5 json\nend\n");
+    EXPECT_FALSE(tryReadFrame<StatsRequest>(bad, &error).has_value());
     EXPECT_NE(error.find("json"), std::string::npos) << error;
 }
 
@@ -173,12 +173,11 @@ TEST(ProtocolTrace, PromSnapshotLinesSurviveTheStatsResponse)
     EXPECT_TRUE(resp.prom);
     ASSERT_EQ(resp.lines.size(), 2u);
 
-    const std::string text = statsResponseText(resp);
+    const std::string text = frameText(resp);
     EXPECT_NE(text.find("format prom\n"), std::string::npos) << text;
 
-    std::istringstream is(text);
     std::string error;
-    const auto back = tryReadStatsResponse(is, &error);
+    const auto back = tryReadFrame<StatsResponse>(text, &error);
     ASSERT_TRUE(back.has_value()) << error;
     EXPECT_TRUE(back->ok);
     EXPECT_TRUE(back->prom);
@@ -192,19 +191,19 @@ TEST(ProtocolTrace, DumpRequestRoundTrips)
 {
     DumpRequest req;
     req.id = 11;
-    EXPECT_EQ(dumpRequestText(req), "jitsched-dump 11\nend\n");
-    EXPECT_TRUE(isDumpRequestFrame(dumpRequestText(req)));
-    EXPECT_FALSE(isDumpRequestFrame("jitsched-stats 11\nend\n"));
+    EXPECT_EQ(frameText(req), "jitsched-dump 11\nend\n");
+    EXPECT_EQ(frameTag(frameText(req)), tag::dump);
+    EXPECT_NE(frameTag("jitsched-stats 11\nend\n"), tag::dump);
 
-    std::istringstream is(dumpRequestText(req));
+    const std::string wire = frameText(req);
     std::string error;
-    const auto back = tryReadDumpRequest(is, &error);
+    const auto back = tryReadFrame<DumpRequest>(wire, &error);
     ASSERT_TRUE(back.has_value()) << error;
     EXPECT_EQ(back->id, 11u);
 
     // A body between header and `end` is a framing error.
-    std::istringstream bad("jitsched-dump 11\nrecord x\nend\n");
-    EXPECT_FALSE(tryReadDumpRequest(bad, &error).has_value());
+    const std::string bad("jitsched-dump 11\nrecord x\nend\n");
+    EXPECT_FALSE(tryReadFrame<DumpRequest>(bad, &error).has_value());
     EXPECT_NE(error.find("body"), std::string::npos) << error;
 }
 
@@ -226,9 +225,9 @@ TEST(ProtocolTrace, DumpResponseRoundTripsRecords)
         makeDumpResponse(12, {traced, bare});
     ASSERT_TRUE(resp.ok);
 
-    std::istringstream is(dumpResponseText(resp));
+    const std::string wire = frameText(resp);
     std::string error;
-    const auto back = tryReadDumpResponse(is, &error);
+    const auto back = tryReadFrame<DumpResponse>(wire, &error);
     ASSERT_TRUE(back.has_value()) << error;
     EXPECT_TRUE(back->ok);
     ASSERT_EQ(back->records.size(), 2u);
@@ -253,9 +252,9 @@ TEST(ProtocolTrace, DumpResponseErrorRoundTrips)
     resp.code = errcode::unavailable;
     resp.error = "recorder disabled";
 
-    std::istringstream is(dumpResponseText(resp));
+    const std::string wire = frameText(resp);
     std::string error;
-    const auto back = tryReadDumpResponse(is, &error);
+    const auto back = tryReadFrame<DumpResponse>(wire, &error);
     ASSERT_TRUE(back.has_value()) << error;
     EXPECT_FALSE(back->ok);
     EXPECT_EQ(back->code, errcode::unavailable);
@@ -265,7 +264,7 @@ TEST(ProtocolTrace, DumpResponseErrorRoundTrips)
 
 TEST(ProtocolTrace, DumpResponseRecordCountMustMatch)
 {
-    std::istringstream is(
+    const std::string wire(
         "jitsched-dump-response 14\n"
         "status ok\n"
         "records 2\n"
@@ -273,13 +272,13 @@ TEST(ProtocolTrace, DumpResponseRecordCountMustMatch)
         "solve-ns 0 bytes 0 hops 0\n"
         "end\n");
     std::string error;
-    EXPECT_FALSE(tryReadDumpResponse(is, &error).has_value());
+    EXPECT_FALSE(tryReadFrame<DumpResponse>(wire, &error).has_value());
     EXPECT_NE(error.find("declared"), std::string::npos) << error;
 }
 
 TEST(ProtocolTrace, DumpResponseBadRecordTraceIsRejected)
 {
-    std::istringstream is(
+    const std::string wire(
         "jitsched-dump-response 15\n"
         "status ok\n"
         "records 1\n"
@@ -287,7 +286,7 @@ TEST(ProtocolTrace, DumpResponseBadRecordTraceIsRejected)
         "solve-ns 0 bytes 0 hops 0\n"
         "end\n");
     std::string error;
-    EXPECT_FALSE(tryReadDumpResponse(is, &error).has_value());
+    EXPECT_FALSE(tryReadFrame<DumpResponse>(wire, &error).has_value());
     EXPECT_NE(error.find("trace id"), std::string::npos) << error;
 }
 
