@@ -9,7 +9,7 @@
 #                              # ctest labels) with -fsanitize=thread
 #                              # in build-tsan/ and run them (thread
 #                              # pool, eval cache, batch determinism,
-#                              # admission queue, loopback server,
+#                              # admission gate, loopback server,
 #                              # cluster router + health prober)
 #   scripts/check.sh --bench-smoke
 #                              # also run bench_astar --smoke and diff
@@ -80,6 +80,10 @@
 #                              # mention the cache at all
 #
 set -euo pipefail
+
+# Each smoke below arms an EXIT trap for its own processes and temp
+# files while it runs, then cleans up and disarms the trap when its
+# block ends, so a run with several smokes leaves nothing behind.
 
 cd "$(dirname "$0")/.."
 
@@ -198,9 +202,8 @@ EOF
              "expectation from the awk output above)" >&2
         exit 1
     fi
-    kill "$daemon_pid" 2>/dev/null || true
-    wait "$daemon_pid" 2>/dev/null || true
-    daemon_pid=""
+    cleanup_obs
+    trap - EXIT
     echo "obs smoke: trace valid, STATS keys match"
 fi
 
@@ -296,6 +299,8 @@ EOF
         cat "$cs_dir/stats.out" >&2
         exit 1
     fi
+    cleanup_cluster
+    trap - EXIT
     echo "cluster smoke: byte-identical routing, failover, STATS ok"
 fi
 
@@ -403,6 +408,8 @@ EOF
              "the expectation from the sed output above)" >&2
         exit 1
     fi
+    cleanup_trace_smoke
+    trap - EXIT
     echo "trace smoke: traces valid, DUMP ok, span names match"
 fi
 
@@ -566,9 +573,8 @@ EOF
              "from the original fresh solve" >&2
         exit 1
     fi
-    kill "$rc_pid" 2>/dev/null || true
-    wait "$rc_pid" 2>/dev/null || true
-    rc_pid=""
+    cleanup_result_cache
+    trap - EXIT
     echo "result-cache smoke: off-path clean, hits byte-identical," \
          "snapshot + warm restart ok"
 fi
@@ -616,6 +622,8 @@ if [ "$run_fuzz_smoke" -eq 1 ]; then
              "result-cache body" >&2
         exit 1
     fi
+    rm -rf "$fuzz_corpus"
+    trap - EXIT
     echo "fuzz smoke: clean run + canaries fired"
 fi
 
@@ -658,7 +666,8 @@ if [ "$run_tsan" -eq 1 ]; then
     # and per-worker memory accounting, all under real concurrency.
     JITSCHED_THREADS=4 ./build-tsan/tests/test_core_par
     # The whole service stack is concurrent: acceptor + handler
-    # threads, admission worker, evaluation pool, parallel clients.
+    # threads solving side by side, the shared evaluation pool
+    # (astar's child fan-out), parallel clients.
     JITSCHED_THREADS=4 ./build-tsan/tests/test_service
     # The cluster layer on top of it: router handlers, the health
     # prober, and a backend bouncing while requests route.

@@ -151,6 +151,10 @@ main(int argc, char **argv)
         usage(2);
     }
 
+    // Spans are read only by --trace-out at shutdown; without it,
+    // recording them would only fill the ring.
+    obs::SpanCollector::setEnabled(!trace_out.empty());
+
     sigset_t wait_set;
     sigemptyset(&wait_set);
     sigaddset(&wait_set, SIGINT);

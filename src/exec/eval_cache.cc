@@ -1,5 +1,6 @@
 #include "exec/eval_cache.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -116,6 +117,13 @@ makeEvalKey(const Workload &w, const Schedule &s,
                    hashSimOptions(opts)};
 }
 
+EvalCache::EvalCache(std::size_t maxEntries)
+    : shard_cap_(maxEntries == 0
+                     ? 0
+                     : std::max<std::size_t>(1, maxEntries / kNumShards))
+{
+}
+
 std::size_t
 EvalCache::KeyHash::operator()(const EvalKey &k) const
 {
@@ -160,6 +168,9 @@ EvalCache::insert(const EvalKey &key, const SimResult &result)
 {
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lk(shard.mutex);
+    if (shard_cap_ != 0 && shard.map.size() >= shard_cap_ &&
+        !shard.map.contains(key))
+        shard.map.clear();
     shard.map[key] = result;
 }
 

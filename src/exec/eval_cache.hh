@@ -15,6 +15,10 @@
  * lock.  Hit/miss counters are atomics; for the deterministic counts
  * the property tests rely on, BatchEvaluator probes sequentially and
  * only the simulations themselves run in parallel.
+ *
+ * A cache may be given an entry cap: a full shard is cleared
+ * wholesale before its next new entry, which bounds a long-running
+ * daemon's memory at the cost of re-simulating what was dropped.
  */
 
 #ifndef JITSCHED_EXEC_EVAL_CACHE_HH
@@ -76,7 +80,12 @@ struct EvalCounters
 class EvalCache
 {
   public:
-    EvalCache() = default;
+    /**
+     * @param maxEntries cap on stored entries; 0 means unbounded.
+     *        Split evenly over the shards (at least one entry each),
+     *        so a cap below the 16 shards holds up to 16 entries.
+     */
+    explicit EvalCache(std::size_t maxEntries = 0);
 
     EvalCache(const EvalCache &) = delete;
     EvalCache &operator=(const EvalCache &) = delete;
@@ -127,6 +136,8 @@ class EvalCache
     Shard &shardFor(const EvalKey &key);
     const Shard &shardFor(const EvalKey &key) const;
 
+    /** Entries a shard holds before it is cleared; 0: unbounded. */
+    const std::size_t shard_cap_;
     Shard shards_[kNumShards];
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};

@@ -7,13 +7,14 @@
  * (jitsched-cli or the router) and propagated over the wire as the
  * optional `option trace-id <hex>` request line.  It is deliberately
  * fingerprint-neutral: requestFingerprint() never sees it, so the
- * EvalCache, CachedFirst admission and consistent-hash affinity
- * behave identically whether or not a request is traced (DESIGN.md
+ * EvalCache, the result cache and consistent-hash affinity behave
+ * identically whether or not a request is traced (DESIGN.md
  * Sec. 5g).
  *
  * A span is one named interval attributed to a trace:
  *
- *   service.admission_wait   submit -> dequeue in the AdmissionQueue
+ *   service.admission_wait   admission -> solve start in the
+ *                            AdmissionQueue gate
  *   service.solve            PolicyRegistry solver run
  *   service.serialize        response serialization
  *   cluster.route_attempt    one router try (tagged backend+outcome)
@@ -24,6 +25,10 @@
  * TraceEventSink, giving every trace id its own virtual thread track
  * so slices of one request nest strictly even when worker threads
  * interleave requests — the property jitsched-trace-check enforces.
+ * jitschedd and jitsched-router read the ring only for --trace-out,
+ * so without it they disable recording (setEnabled(false)) and never
+ * touch the ring or its mutex; in-process users keep the default,
+ * enabled.
  *
  * Memory bound: exactly capacity() x sizeof(SpanRecord) bytes — the
  * default 65536 slots of 96 bytes are 6 MiB — allocated once, never

@@ -1,8 +1,7 @@
 #include "service/admission.hh"
 
-#include <algorithm>
-#include <utility>
-#include <vector>
+#include <chrono>
+#include <string>
 
 #include "obs/instruments.hh"
 #include "obs/span.hh"
@@ -13,7 +12,6 @@ AdmissionQueue::AdmissionQueue(ServiceEngine &engine,
                                AdmissionConfig cfg)
     : engine_(engine), cfg_(cfg)
 {
-    worker_ = std::thread([this] { workerLoop(); });
 }
 
 AdmissionQueue::~AdmissionQueue()
@@ -21,173 +19,101 @@ AdmissionQueue::~AdmissionQueue()
     stop();
 }
 
-std::future<ServiceResponse>
-AdmissionQueue::submit(ServiceRequest req)
+ServiceResponse
+AdmissionQueue::serve(const ServiceRequest &req)
 {
-    Pending p;
-    p.admitted = Clock::now();
-    if (req.options.deadlineMs >= 0) {
-        p.deadline = p.admitted +
-                     std::chrono::milliseconds(req.options.deadlineMs);
-        p.has_deadline = true;
-    }
-    p.fingerprint = requestFingerprint(req);
-    p.req = std::move(req);
-    std::future<ServiceResponse> future = p.promise.get_future();
-
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point admitted = Clock::now();
     {
         std::lock_guard<std::mutex> lk(mutex_);
-        if (stop_) {
-            ServiceResponse resp = makeErrorResponse(
-                p.req.id, errcode::unavailable,
-                "service is shutting down");
-            resp.stats.traceId = p.req.traceId;
-            p.promise.set_value(std::move(resp));
-            return future;
-        }
-        if (queue_.size() >= cfg_.maxDepth) {
-            ++shed_;
-            JITSCHED_OBS(
-                obs::ServiceMetrics::get().requestsShed.add());
-            ServiceResponse resp = makeErrorResponse(
-                p.req.id, errcode::resourceExhausted,
-                "admission queue full (" +
-                    std::to_string(cfg_.maxDepth) +
-                    " pending requests); retry later");
-            resp.stats.traceId = p.req.traceId;
-            p.promise.set_value(std::move(resp));
-            return future;
+        if (stop_ || depth_ >= cfg_.maxDepth) {
+            ServiceResponse refused;
+            if (stop_) {
+                refused = makeErrorResponse(
+                    req.id, errcode::unavailable,
+                    "service is shutting down");
+            } else {
+                ++shed_;
+                JITSCHED_OBS(
+                    obs::ServiceMetrics::get().requestsShed.add());
+                refused = makeErrorResponse(
+                    req.id, errcode::resourceExhausted,
+                    "admission queue full (" +
+                        std::to_string(cfg_.maxDepth) +
+                        " pending requests); retry later");
+            }
+            refused.stats.traceId = req.traceId;
+            return refused;
         }
         ++accepted_;
-        queue_.push_back(std::move(p));
+        ++depth_;
         JITSCHED_OBS({
             obs::ServiceMetrics &m = obs::ServiceMetrics::get();
             m.requestsAccepted.add();
-            m.queueDepth.set(
-                static_cast<std::int64_t>(queue_.size()));
+            m.queueDepth.set(static_cast<std::int64_t>(depth_));
         });
     }
-    wake_cv_.notify_one();
-    return future;
-}
 
-void
-AdmissionQueue::answer(Pending &p, ServiceResponse resp)
-{
-    // Error paths (shed, expired, shutdown) build their response via
-    // makeErrorResponse, which never saw the request's trace id.
-    resp.stats.traceId = p.req.traceId;
+    ServiceResponse resp;
+    const bool expired =
+        req.options.deadlineMs >= 0 &&
+        Clock::now() >=
+            admitted + std::chrono::milliseconds(req.options.deadlineMs);
+    if (expired) {
+        JITSCHED_OBS(obs::ServiceMetrics::get().requestsExpired.add());
+        resp = makeErrorResponse(
+            req.id, errcode::deadlineExceeded,
+            "request waited past its " +
+                std::to_string(req.options.deadlineMs) +
+                " ms deadline");
+    } else {
+        // The admission-wait span covers admission -> solve start;
+        // the solve span nests inside engine_.serve().
+        obs::SpanCollector::global().recordBetween(
+            req.traceId, "service.admission_wait", admitted,
+            Clock::now());
+        resp = engine_.serve(req);
+        JITSCHED_OBS(
+            obs::ServiceMetrics::get().requestsProcessed.add());
+    }
+
+    // Error answers come from makeErrorResponse, which never saw the
+    // request's trace id.  queue-ns is the admission time: everything
+    // since admission that was not the solve itself.
+    resp.stats.traceId = req.traceId;
     resp.stats.queueNs =
         std::chrono::duration_cast<std::chrono::nanoseconds>(
-            Clock::now() - p.admitted)
+            Clock::now() - admitted)
             .count() -
         resp.stats.solveNs;
     if (resp.stats.queueNs < 0)
         resp.stats.queueNs = 0;
     JITSCHED_OBS(obs::ServiceMetrics::get().queueWaitNs.observe(
         resp.stats.queueNs));
-    p.promise.set_value(std::move(resp));
-}
 
-void
-AdmissionQueue::workerLoop()
-{
-    for (;;) {
-        std::vector<Pending> batch;
-        {
-            std::unique_lock<std::mutex> lk(mutex_);
-            wake_cv_.wait(lk,
-                          [&] { return stop_ || !queue_.empty(); });
-            if (queue_.empty() && stop_)
-                return;
-            while (!queue_.empty() && batch.size() < cfg_.maxBatch) {
-                batch.push_back(std::move(queue_.front()));
-                queue_.pop_front();
-            }
-            JITSCHED_OBS(obs::ServiceMetrics::get().queueDepth.set(
-                static_cast<std::int64_t>(queue_.size())));
-        }
-
-        if (cfg_.discipline == AdmissionDiscipline::CachedFirst) {
-            // Stable: cache-backed requests first, arrival order
-            // preserved within each class (mirrors the
-            // first-compile-first queues of vm/compile_manager.hh).
-            std::stable_partition(
-                batch.begin(), batch.end(), [&](const Pending &p) {
-                    return served_fingerprints_.count(p.fingerprint) >
-                           0;
-                });
-        }
-
-        for (Pending &p : batch) {
-            if (p.has_deadline && Clock::now() > p.deadline) {
-                {
-                    std::lock_guard<std::mutex> lk(mutex_);
-                    ++expired_;
-                }
-                JITSCHED_OBS(
-                    obs::ServiceMetrics::get().requestsExpired.add());
-                answer(p, makeErrorResponse(
-                              p.req.id, errcode::deadlineExceeded,
-                              "request waited past its " +
-                                  std::to_string(
-                                      p.req.options.deadlineMs) +
-                                  " ms deadline"));
-                continue;
-            }
-            // The admission-wait span covers submit() -> this moment;
-            // the solve span nests inside engine_.serve().
-            obs::SpanCollector::global().recordBetween(
-                p.req.traceId, "service.admission_wait", p.admitted,
-                Clock::now());
-            ServiceResponse resp = engine_.serve(p.req);
-            if (served_fingerprints_.size() >=
-                cfg_.maxServedFingerprints)
-                served_fingerprints_.clear();
-            served_fingerprints_.insert(p.fingerprint);
-            {
-                std::lock_guard<std::mutex> lk(mutex_);
-                ++processed_;
-            }
-            JITSCHED_OBS(
-                obs::ServiceMetrics::get().requestsProcessed.add());
-            answer(p, std::move(resp));
-        }
-    }
+    std::lock_guard<std::mutex> lk(mutex_);
+    ++(expired ? expired_ : processed_);
+    --depth_;
+    JITSCHED_OBS(obs::ServiceMetrics::get().queueDepth.set(
+        static_cast<std::int64_t>(depth_)));
+    if (depth_ == 0)
+        drained_cv_.notify_all();
+    return resp;
 }
 
 void
 AdmissionQueue::stop()
 {
-    std::deque<Pending> orphans;
-    {
-        std::lock_guard<std::mutex> lk(mutex_);
-        if (stop_ && !worker_.joinable())
-            return;
-        stop_ = true;
-        orphans.swap(queue_);
-    }
-    wake_cv_.notify_all();
-    if (worker_.joinable())
-        worker_.join();
-    for (Pending &p : orphans)
-        p.promise.set_value(makeErrorResponse(
-            p.req.id, errcode::unavailable,
-            "service stopped before the request was served"));
+    std::unique_lock<std::mutex> lk(mutex_);
+    stop_ = true;
+    drained_cv_.wait(lk, [&] { return depth_ == 0; });
 }
 
 void
 AdmissionQueue::restart()
 {
-    {
-        std::lock_guard<std::mutex> lk(mutex_);
-        if (!stop_)
-            return; // never stopped (or already restarted)
-        stop_ = false;
-    }
-    // stop() joined the old worker before clearing any path here, so
-    // the thread object is safe to reuse.
-    worker_ = std::thread([this] { workerLoop(); });
+    std::lock_guard<std::mutex> lk(mutex_);
+    stop_ = false;
 }
 
 std::uint64_t

@@ -2,152 +2,96 @@
  * @file
  * Admission control for the scheduling service.
  *
- * Many clients, one solver pipeline: requests are admitted into a
- * bounded queue and served by a single worker that drains them in
- * batches through the shared ServiceEngine (and therefore through
- * the BatchEvaluator/EvalCache — duplicate requests across clients
- * hit the memo table instead of re-solving).
+ * Many clients, many solve slots: the admission gate is synchronous.
+ * serve() admits a request and solves it through the shared
+ * ServiceEngine on the caller's own thread — in jitschedd, the
+ * connection handler that parsed the frame.  The handler pool is
+ * therefore the pool of solve slots, the service analogue of the
+ * paper's m compile cores (SimOptions::compileCores; DESIGN.md 5a),
+ * and a request never waits behind another one's solve while a core
+ * sits idle.
  *
  * Overload policy is explicit, in the spirit of the parallel-job
  * scheduling literature the ROADMAP points at (Berg et al.; Kulkarni
- * & Li): when the queue is full the service answers
- * RESOURCE_EXHAUSTED immediately instead of stalling every client,
- * and a request that waited past its deadline is answered
- * DEADLINE_EXCEEDED without burning solver time on an answer nobody
- * is waiting for.
- *
- * The queue discipline maps the paper's Sec. 7 insight onto the
- * service (see DESIGN.md): CachedFirst lets requests that will be
- * answered from the cache — the service analogue of cheap,
- * client-unblocking first compiles — overtake full solves.
+ * & Li): when maxDepth requests are already admitted and unanswered
+ * the gate answers RESOURCE_EXHAUSTED immediately instead of
+ * stalling every client, and a request whose deadline is already
+ * spent at admission is answered DEADLINE_EXCEEDED without burning
+ * solver time on an answer nobody is waiting for.
  */
 
 #ifndef JITSCHED_SERVICE_ADMISSION_HH
 #define JITSCHED_SERVICE_ADMISSION_HH
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <mutex>
-#include <thread>
-#include <unordered_set>
 
 #include "service/engine.hh"
 #include "service/protocol.hh"
 
 namespace jitsched {
 
-/** How the admission queue orders a drained batch. */
-enum class AdmissionDiscipline
-{
-    /** Strict arrival order. */
-    Fifo,
-
-    /**
-     * Requests whose fingerprint has been served before jump ahead:
-     * they are near-free cache hits, so serving them first minimizes
-     * mean flow time without meaningfully delaying the full solves —
-     * the Sec. 7 first-compile-first insight transplanted to the
-     * request queue.  Default.
-     */
-    CachedFirst
-};
-
-/** Knobs of the admission queue. */
+/** Knobs of the admission gate. */
 struct AdmissionConfig
 {
-    /** Pending requests beyond this depth are shed. */
+    /** Requests admitted and not yet answered beyond this are shed. */
     std::size_t maxDepth = 64;
-
-    /** Maximum requests drained into one processing batch. */
-    std::size_t maxBatch = 16;
-
-    /**
-     * Cap on the served-fingerprint set behind CachedFirst; when
-     * exceeded the set is reset wholesale.  Keeps a long-running
-     * daemon's memory bounded under diverse workloads at the cost of
-     * briefly forgetting what is cached — a reordering heuristic, so
-     * forgetting is harmless.
-     */
-    std::size_t maxServedFingerprints = 4096;
-
-    AdmissionDiscipline discipline = AdmissionDiscipline::CachedFirst;
 };
 
-/**
- * Bounded admission queue + single worker thread over a
- * ServiceEngine.
- */
+/** Bounded, synchronous admission gate over a ServiceEngine. */
 class AdmissionQueue
 {
   public:
-    /** @param engine must outlive the queue */
+    /** @param engine must outlive the gate */
     explicit AdmissionQueue(ServiceEngine &engine,
                             AdmissionConfig cfg = {});
 
-    /** Stops the worker; pending requests are answered UNAVAILABLE. */
+    /** Stops admitting and waits for in-flight serves to answer. */
     ~AdmissionQueue();
 
     AdmissionQueue(const AdmissionQueue &) = delete;
     AdmissionQueue &operator=(const AdmissionQueue &) = delete;
 
     /**
-     * Submit a request.  The future always becomes ready: with the
-     * policy's response, or with a structured RESOURCE_EXHAUSTED /
-     * DEADLINE_EXCEEDED / UNAVAILABLE error.
+     * Admit and serve one request on the calling thread.  Always
+     * answers: with the policy's response, or with a structured
+     * RESOURCE_EXHAUSTED / DEADLINE_EXCEEDED / UNAVAILABLE error.
+     * Safe to call from many threads at once.
      */
-    std::future<ServiceResponse> submit(ServiceRequest req);
+    ServiceResponse serve(const ServiceRequest &req);
 
-    /** Stop accepting and drain; idempotent. */
+    /**
+     * Stop admitting (later serves answer UNAVAILABLE) and wait for
+     * the serves already admitted to answer; idempotent.
+     */
     void stop();
 
     /**
-     * Restart the worker after a stop(); idempotent while running.
+     * Admit again after a stop(); idempotent while running.
      * Counters are preserved across the bounce — what the restart
      * lifecycle tests assert on.
      */
     void restart();
 
-    std::uint64_t accepted() const;  ///< requests queued
-    std::uint64_t shed() const;      ///< rejected: queue full
+    std::uint64_t accepted() const;  ///< requests admitted
+    std::uint64_t shed() const;      ///< rejected: gate full
     std::uint64_t expired() const;   ///< rejected: deadline passed
     std::uint64_t processed() const; ///< answered by the engine
 
   private:
-    using Clock = std::chrono::steady_clock;
-
-    struct Pending
-    {
-        ServiceRequest req;
-        std::promise<ServiceResponse> promise;
-        Clock::time_point admitted;
-        Clock::time_point deadline; ///< valid when has_deadline
-        bool has_deadline = false;
-        std::uint64_t fingerprint = 0;
-    };
-
-    void workerLoop();
-    void answer(Pending &p, ServiceResponse resp);
-
     ServiceEngine &engine_;
     const AdmissionConfig cfg_;
 
     mutable std::mutex mutex_;
-    std::condition_variable wake_cv_;
-    std::deque<Pending> queue_;
+    std::condition_variable drained_cv_; ///< depth_ reached 0
     bool stop_ = false;
+    std::size_t depth_ = 0; ///< admitted, not yet answered
 
     std::uint64_t accepted_ = 0;
     std::uint64_t shed_ = 0;
     std::uint64_t expired_ = 0;
     std::uint64_t processed_ = 0;
-
-    /** Fingerprints already served; worker-thread only. */
-    std::unordered_set<std::uint64_t> served_fingerprints_;
-
-    std::thread worker_;
 };
 
 } // namespace jitsched

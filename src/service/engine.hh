@@ -3,18 +3,21 @@
  * ServiceEngine: one parsed request in, one response out.
  *
  * The engine is the library-call form of the service — the daemon's
- * admission worker calls it, the CLI can call it in-process, and the
- * loopback tests compare daemon responses byte-for-byte against it.
- * It owns the EvalCache that makes duplicate requests cheap and
- * routes every static-schedule evaluation through a BatchEvaluator on
- * a shared thread pool.
+ * connection handlers call it concurrently through the admission gate,
+ * the CLI can call it in-process, and the loopback tests compare
+ * daemon responses byte-for-byte against it.  It owns the EvalCache
+ * that makes duplicate requests cheap and routes every
+ * static-schedule evaluation through a BatchEvaluator on a shared
+ * thread pool.
  *
- * serve() builds a per-request BatchEvaluator (pool + shared cache +
- * that request's own EvalCounters tally), so the response's
- * cache-hits/-misses stats count exactly that request's probes even
- * when serves overlap — before/after deltas of the shared cache's
- * global counters would misattribute concurrent requests' probes to
- * each other.
+ * serve() is safe for overlapping calls.  It builds a per-request
+ * BatchEvaluator (pool + shared cache + that request's own
+ * EvalCounters tally), so the response's cache-hits/-misses stats
+ * count exactly that request's probes even when serves overlap —
+ * before/after deltas of the shared cache's global counters would
+ * misattribute concurrent requests' probes to each other.  The
+ * cache is capped at kEvalCacheEntries so a daemon serving distinct
+ * workloads for days does not grow without bound.
  */
 
 #ifndef JITSCHED_SERVICE_ENGINE_HH
@@ -33,6 +36,9 @@ namespace jitsched {
 class ServiceEngine
 {
   public:
+    /** Entry cap of the engine's EvalCache. */
+    static constexpr std::size_t kEvalCacheEntries = 4096;
+
     /**
      * @param registry policy table; must outlive the engine
      * @param pool executor for the evaluation fan-out; nullptr uses
@@ -43,7 +49,7 @@ class ServiceEngine
         ThreadPool *pool = nullptr)
         : registry_(registry),
           pool_(pool != nullptr ? *pool : ThreadPool::global()),
-          evaluator_(pool_, &cache_)
+          cache_(kEvalCacheEntries), evaluator_(pool_, &cache_)
     {
     }
 
@@ -54,7 +60,7 @@ class ServiceEngine
      * Serve one request synchronously.  Always returns a response —
      * unknown policies, empty workloads and solver refusals come back
      * as structured errors, never as process exits.  Fills every
-     * response field except stats.queueNs (the admission queue's).
+     * response field except stats.queueNs (the admission gate's).
      */
     ServiceResponse serve(const ServiceRequest &req);
 

@@ -9,7 +9,7 @@
  *
  * Usage:
  *   jitschedd [--address A] [--port P] [--handlers N]
- *             [--queue-depth D] [--batch B] [--discipline fifo|cached-first]
+ *             [--queue-depth D]
  *             [--result-cache-mb M] [--snapshot-file FILE]
  *             [--trace-out FILE]
  */
@@ -38,10 +38,11 @@ usage(int rc)
         "usage: jitschedd [options]\n"
         "  --address A          bind address (default 127.0.0.1)\n"
         "  --port P             bind port; 0 = ephemeral (default 0)\n"
-        "  --handlers N         connection handler threads (default 4)\n"
-        "  --queue-depth D      admission queue depth (default 64)\n"
-        "  --batch B            max requests per worker batch (default 16)\n"
-        "  --discipline D       fifo | cached-first (default cached-first)\n"
+        "  --handlers N         connection handler threads; each solves\n"
+        "                       the requests it reads, so N solves run\n"
+        "                       at once (default 4)\n"
+        "  --queue-depth D      requests admitted at once before the\n"
+        "                       rest are shed (default 64)\n"
         "  --result-cache-mb M  request-level result cache budget in MiB;\n"
         "                       0 disables (default: JITSCHED_RESULT_CACHE_MB,\n"
         "                       else 0)\n"
@@ -101,19 +102,6 @@ main(int argc, char **argv)
         } else if (arg == "--queue-depth") {
             cfg.admission.maxDepth =
                 static_cast<std::size_t>(intArg(arg, next()));
-        } else if (arg == "--batch") {
-            cfg.admission.maxBatch =
-                static_cast<std::size_t>(intArg(arg, next()));
-        } else if (arg == "--discipline") {
-            const std::string d = next();
-            if (d == "fifo")
-                cfg.admission.discipline = AdmissionDiscipline::Fifo;
-            else if (d == "cached-first")
-                cfg.admission.discipline =
-                    AdmissionDiscipline::CachedFirst;
-            else
-                JITSCHED_FATAL("--discipline must be fifo or "
-                               "cached-first, got '", d, "'");
         } else if (arg == "--result-cache-mb") {
             cfg.resultCacheBytes =
                 static_cast<std::size_t>(intArg(arg, next())) << 20;
@@ -136,6 +124,10 @@ main(int argc, char **argv)
     sigaddset(&wait_set, SIGINT);
     sigaddset(&wait_set, SIGTERM);
     pthread_sigmask(SIG_BLOCK, &wait_set, nullptr);
+
+    // Spans are read only by --trace-out at shutdown; without it,
+    // recording them would only fill the ring.
+    obs::SpanCollector::setEnabled(!trace_out.empty());
 
     ServiceEngine engine;
     // Pre-create the standard instrument inventory so a STATS scrape

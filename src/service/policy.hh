@@ -84,7 +84,8 @@ struct ServiceOptions
 
     /**
      * Request deadline in milliseconds from admission; -1 = none.
-     * Enforced by the admission queue, not by the solvers.
+     * Enforced by the admission gate (astar-par also takes a
+     * positive one as its anytime budget).
      */
     std::int64_t deadlineMs = -1;
 

@@ -56,7 +56,7 @@ ServiceServer::ServiceServer(ServiceEngine &engine, ServerConfig cfg)
              })
 {
     // SNAPSHOT saves the result cache inline like STATS/DUMP — a
-    // warm-state save must work while the admission queue is
+    // warm-state save must work while the admission gate is
     // shedding.
     front_.addVerb(tag::snapshot, [this](std::string_view frame) {
         return answerFrame<SnapshotRequest, SnapshotResponse>(
@@ -104,8 +104,8 @@ ServiceServer::stop()
         return;
     queue_.stop();
 
-    // Clean-shutdown warm-state save: handlers and the admission
-    // worker have joined, so the cache is quiescent.
+    // Clean-shutdown warm-state save: the handlers, and with them
+    // every solve, have joined, so the cache is quiescent.
     if (rcache_.enabled() && !cfg_.snapshotPath.empty()) {
         std::string snap_error;
         if (!rcache_.saveSnapshot(cfg_.snapshotPath, &snap_error))
@@ -172,7 +172,7 @@ ServiceServer::answerRequest(std::string_view frame)
         request_id = req->id;
 
         // Result-cache fast path, probed before the admission
-        // queue: a shed-under-load daemon keeps serving the
+        // gate: a shed-under-load daemon keeps serving the
         // answers it already knows.
         ResultCache::Probe probe;
         if (rcache_.enabled()) {
@@ -247,11 +247,11 @@ ServiceServer::answerRequest(std::string_view frame)
         }
 
         if (!from_cache && !answered) {
-            resp = queue_.submit(*std::move(req)).get();
+            resp = queue_.serve(*req);
             // The leader publishes unconditionally — even a
             // shed/expired answer releases the followers (the
-            // admission queue answers every submit, so no flight
-            // is ever abandoned).
+            // admission gate answers every serve, so no flight is
+            // ever abandoned).
             if (probe.kind == ResultCache::Probe::Kind::Leader)
                 rcache_.publish(probe, resp.ok,
                                 responseBodyText(resp));

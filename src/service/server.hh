@@ -1,16 +1,17 @@
 /**
  * @file
  * jitschedd's serving core: the shared connection front end
- * (service/frame_server.hh) over the admission queue.
+ * (service/frame_server.hh) over the admission gate.
  *
  * The front end accepts connections, frames requests and answers
  * PING/STATS/DUMP inline; the daemon adds SNAPSHOT and the solve
  * path.  A request frame is parsed with the non-fatal protocol path,
  * and either a parse error is answered immediately or the request is
- * submitted to the admission queue (after a result-cache probe) and
- * the response relayed.  One malformed request never desynchronizes
- * or kills a connection — the client gets a structured
- * INVALID_ARGUMENT frame and can keep the socket.
+ * solved through the admission gate (after a result-cache probe) on
+ * the handler thread that parsed it, and the response relayed.  One
+ * malformed request never desynchronizes or kills a connection — the
+ * client gets a structured INVALID_ARGUMENT frame and can keep the
+ * socket.
  *
  * Embeddable by design: the loopback tests and bench_service run the
  * server in-process on an ephemeral port; jitschedd_main.cc adds
@@ -43,7 +44,11 @@ struct ServerConfig
     /** listen(2) backlog. */
     int acceptBacklog = 64;
 
-    /** Concurrent connection handlers. */
+    /**
+     * Concurrent connection handlers.  Each solves the requests it
+     * parses, so this is also how many solves run at once — the
+     * paper's compile cores.
+     */
     std::size_t handlerThreads = 4;
 
     /**
@@ -54,7 +59,7 @@ struct ServerConfig
      */
     std::size_t maxFrameBytes = std::size_t(1) << 20;
 
-    /** Admission-queue knobs. */
+    /** Admission-gate knobs. */
     AdmissionConfig admission;
 
     /**

@@ -1,12 +1,13 @@
 /**
  * @file
- * Admission-queue tests: futures always become ready, duplicate
- * requests ride the cache, overload is shed with RESOURCE_EXHAUSTED,
- * stale requests expire with DEADLINE_EXCEEDED, and shutdown answers
- * everything still pending.
+ * Admission-gate tests: every serve() answers, duplicate requests
+ * ride the cache, overload is shed with RESOURCE_EXHAUSTED, stale
+ * requests expire with DEADLINE_EXCEEDED, shutdown answers instead
+ * of hanging, and the engine's EvalCache stays within its cap.
  */
 
 #include <future>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -34,9 +35,8 @@ TEST(AdmissionQueue, ServesAValidRequest)
 {
     ServiceEngine engine;
     AdmissionQueue queue(engine);
-    auto future =
-        queue.submit(makeRequest(1, "iar", figure1Workload()));
-    const ServiceResponse resp = future.get();
+    const ServiceResponse resp =
+        queue.serve(makeRequest(1, "iar", figure1Workload()));
     EXPECT_TRUE(resp.ok) << resp.error;
     EXPECT_EQ(resp.id, 1u);
     EXPECT_EQ(resp.policy, "iar");
@@ -51,9 +51,8 @@ TEST(AdmissionQueue, EngineErrorsComeBackStructured)
 {
     ServiceEngine engine;
     AdmissionQueue queue(engine);
-    auto future = queue.submit(
+    const ServiceResponse resp = queue.serve(
         makeRequest(2, "no-such-policy", figure1Workload()));
-    const ServiceResponse resp = future.get();
     EXPECT_FALSE(resp.ok);
     EXPECT_EQ(resp.code, errcode::invalidArgument);
 }
@@ -63,9 +62,9 @@ TEST(AdmissionQueue, DuplicateRequestsHitTheCache)
     ServiceEngine engine;
     AdmissionQueue queue(engine);
     const ServiceResponse first =
-        queue.submit(makeRequest(1, "iar", figure1Workload())).get();
+        queue.serve(makeRequest(1, "iar", figure1Workload()));
     const ServiceResponse second =
-        queue.submit(makeRequest(2, "iar", figure1Workload())).get();
+        queue.serve(makeRequest(2, "iar", figure1Workload()));
     ASSERT_TRUE(first.ok);
     ASSERT_TRUE(second.ok);
     // The repeat evaluation is answered from the EvalCache: the
@@ -84,7 +83,7 @@ TEST(AdmissionQueue, ZeroDepthQueueShedsEverything)
     cfg.maxDepth = 0;
     AdmissionQueue queue(engine, cfg);
     const ServiceResponse resp =
-        queue.submit(makeRequest(3, "iar", figure1Workload())).get();
+        queue.serve(makeRequest(3, "iar", figure1Workload()));
     EXPECT_FALSE(resp.ok);
     EXPECT_EQ(resp.code, errcode::resourceExhausted);
     EXPECT_EQ(queue.shed(), 1u);
@@ -95,18 +94,20 @@ TEST(AdmissionQueue, StaleRequestsExpire)
 {
     ServiceEngine engine;
     AdmissionQueue queue(engine);
-    // Occupy the worker with a real solve, then enqueue a request
-    // whose deadline is already in the past when its turn comes.
+    // Occupy one solve slot with a real solve, then admit a request
+    // whose deadline is already spent when it is admitted.
     SyntheticConfig scfg;
     scfg.name = "occupy";
     scfg.numFunctions = 80;
     scfg.numCalls = 4000;
-    auto slow =
-        queue.submit(makeRequest(4, "iar", generateSynthetic(scfg)));
+    const ServiceRequest occupy =
+        makeRequest(4, "iar", generateSynthetic(scfg));
+    auto slow = std::async(std::launch::async,
+                           [&] { return queue.serve(occupy); });
     ServiceRequest stale =
         makeRequest(5, "iar", figure1Workload());
     stale.options.deadlineMs = 0;
-    const ServiceResponse resp = queue.submit(std::move(stale)).get();
+    const ServiceResponse resp = queue.serve(stale);
     EXPECT_FALSE(resp.ok);
     EXPECT_EQ(resp.code, errcode::deadlineExceeded);
     EXPECT_EQ(queue.expired(), 1u);
@@ -119,7 +120,7 @@ TEST(AdmissionQueue, StopAnswersInsteadOfHanging)
     AdmissionQueue queue(engine);
     queue.stop();
     const ServiceResponse resp =
-        queue.submit(makeRequest(6, "iar", figure1Workload())).get();
+        queue.serve(makeRequest(6, "iar", figure1Workload()));
     EXPECT_FALSE(resp.ok);
     EXPECT_EQ(resp.code, errcode::unavailable);
     queue.stop(); // idempotent
@@ -131,15 +132,38 @@ TEST(AdmissionQueue, ManyConcurrentSubmittersAllGetAnswers)
     AdmissionQueue queue(engine);
     std::vector<std::future<ServiceResponse>> futures;
     for (std::uint64_t i = 0; i < 32; ++i)
-        futures.push_back(queue.submit(makeRequest(
-            i + 1, i % 2 == 0 ? "iar" : "base-only",
-            i % 4 < 2 ? figure1Workload() : figure2Workload())));
+        futures.push_back(std::async(std::launch::async, [&queue, i] {
+            return queue.serve(makeRequest(
+                i + 1, i % 2 == 0 ? "iar" : "base-only",
+                i % 4 < 2 ? figure1Workload() : figure2Workload()));
+        }));
     for (std::size_t i = 0; i < futures.size(); ++i) {
         const ServiceResponse resp = futures[i].get();
         EXPECT_TRUE(resp.ok) << resp.error;
         EXPECT_EQ(resp.id, i + 1);
     }
     EXPECT_EQ(queue.processed(), 32u);
+}
+
+TEST(ServiceEngineCache, DistinctRequestsStayWithinTheEvalCacheCap)
+{
+    // Every distinct workload adds at least one EvalCache entry, so
+    // an uncapped cache would end above the cap.
+    ServiceEngine engine;
+    constexpr std::size_t kCap = ServiceEngine::kEvalCacheEntries;
+    SyntheticConfig scfg;
+    scfg.numFunctions = 3;
+    scfg.numCalls = 12;
+    scfg.numLevels = 2;
+    scfg.numPhases = 1;
+    for (std::uint64_t i = 0; i <= kCap; ++i) {
+        scfg.name = "distinct-" + std::to_string(i);
+        const ServiceResponse resp = engine.serve(
+            makeRequest(i + 1, "base-only", generateSynthetic(scfg)));
+        ASSERT_TRUE(resp.ok) << resp.error;
+    }
+    EXPECT_GT(engine.cache().misses(), kCap);
+    EXPECT_LE(engine.cache().size(), kCap);
 }
 
 } // anonymous namespace

@@ -2,7 +2,7 @@
  * @file
  * Wire-protocol tests: request/response round trips, option
  * validation, malformed frames, frame-end detection, and the request
- * fingerprint the admission queue and cache discipline rely on.
+ * fingerprint the router's affinity relies on.
  */
 
 #include <sstream>

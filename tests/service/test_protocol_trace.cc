@@ -88,7 +88,7 @@ TEST(ProtocolTrace, TraceIdIsFingerprintNeutral)
 {
     // The trace id is observability metadata: two requests that
     // differ only in trace id must hash (and compare) the same, or
-    // tracing would split the admission queue's dedup classes.
+    // tracing would split the router's affinity classes.
     ServiceRequest plain = exampleRequest();
     ServiceRequest traced = exampleRequest();
     traced.traceId = obs::mintTraceId();

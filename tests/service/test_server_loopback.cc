@@ -10,8 +10,10 @@
  * router too, since it shares the daemon's connection front end.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <future>
 #include <memory>
 #include <optional>
@@ -24,10 +26,12 @@
 
 #include "cluster/router.hh"
 #include "obs/instruments.hh"
+#include "obs/span.hh"
 #include "service/client.hh"
 #include "service/engine.hh"
 #include "service/server.hh"
 #include "trace/paper_examples.hh"
+#include "trace/synthetic.hh"
 #include "trace/trace_io.hh"
 
 namespace jitsched {
@@ -566,6 +570,125 @@ TEST(ServiceServerLifecycle, RestartSurvivesRepeatedBounces)
         ASSERT_TRUE(client.connect("127.0.0.1", port, &error))
             << error;
         EXPECT_TRUE(client.ping(100 + round, &error)) << error;
+    }
+    server.stop();
+}
+
+/**
+ * Send each of @p reqs from its own client at once (every client
+ * connects first, then all send); the parsed responses, in request
+ * order.
+ */
+std::vector<std::optional<ServiceResponse>>
+callConcurrently(std::uint16_t port,
+                 const std::vector<ServiceRequest> &reqs)
+{
+    std::vector<std::optional<ServiceResponse>> out(reqs.size());
+    std::vector<ServiceClient> clients(reqs.size());
+    std::string error;
+    for (ServiceClient &c : clients)
+        EXPECT_TRUE(c.connect("127.0.0.1", port, &error)) << error;
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < reqs.size(); ++i)
+        threads.emplace_back([&, i] {
+            std::string err;
+            out[i] = clients[i].call(reqs[i], &err);
+            EXPECT_TRUE(out[i].has_value()) << err;
+        });
+    for (std::thread &t : threads)
+        t.join();
+    return out;
+}
+
+TEST(ServiceServerConcurrency, SolvesOverlapAcrossHandlers)
+{
+    // Four clients, four handlers, four slow distinct solves: each
+    // handler solves what it parsed, so the solves run side by side
+    // and their solve times add up to more than the wall time from
+    // the first solve's start to the last one's end.  With one
+    // solver thread behind the handlers they would run one after
+    // another and never exceed it.  The solve spans give each
+    // solve's interval on the server's own clock.
+    ServiceEngine engine;
+    ServerConfig scfg;
+    scfg.handlerThreads = 4;
+    ServiceServer server(engine, scfg);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    std::vector<ServiceRequest> reqs;
+    for (std::uint64_t i = 0; i < 4; ++i) {
+        SyntheticConfig wcfg;
+        wcfg.name = "slow-" + std::to_string(i);
+        wcfg.numFunctions = 80;
+        wcfg.numCalls = 40000;
+        wcfg.seed = i + 1;
+        reqs.push_back(
+            makeRequest(i + 1, "iar", generateSynthetic(wcfg)));
+    }
+    const auto resps = callConcurrently(server.port(), reqs);
+
+    std::vector<std::uint64_t> traces;
+    for (const auto &resp : resps) {
+        ASSERT_TRUE(resp.has_value());
+        ASSERT_TRUE(resp->ok) << resp->error;
+        traces.push_back(resp->stats.traceId);
+    }
+    std::int64_t solve_sum = 0;
+    std::int64_t first_start = INT64_MAX;
+    std::int64_t last_end = INT64_MIN;
+    std::size_t solves = 0;
+    for (const obs::Span &sp : obs::SpanCollector::global().snapshot()) {
+        if (sp.name != "service.solve" ||
+            std::find(traces.begin(), traces.end(), sp.traceId) ==
+                traces.end())
+            continue;
+        ++solves;
+        solve_sum += sp.durNs;
+        first_start = std::min(first_start, sp.startNs);
+        last_end = std::max(last_end, sp.startNs + sp.durNs);
+    }
+    ASSERT_EQ(solves, reqs.size());
+    EXPECT_GT(solve_sum, last_end - first_start)
+        << "the four solves did not overlap";
+    server.stop();
+}
+
+TEST(ServiceServerConcurrency, ConcurrentAStarSolvesMatchTheLibrary)
+{
+    // Overlapping astar solves share ThreadPool::global() for their
+    // child fan-out; each answer must still be what a lone library
+    // call gives.
+    ServiceEngine engine;
+    ServiceServer server(engine);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    ServiceEngine reference;
+    std::vector<ServiceRequest> reqs;
+    std::vector<std::string> want;
+    for (std::uint64_t i = 0; i < 4; ++i) {
+        SyntheticConfig wcfg;
+        wcfg.name = "astar-" + std::to_string(i);
+        wcfg.numFunctions = 6;
+        wcfg.numCalls = 60;
+        wcfg.numLevels = 3;
+        wcfg.numPhases = 2;
+        wcfg.seed = i + 1;
+        reqs.push_back(
+            makeRequest(i + 1, "astar", generateSynthetic(wcfg)));
+        ServiceResponse direct = reference.serve(reqs.back());
+        ASSERT_TRUE(direct.ok) << direct.error;
+        direct.stats = {};
+        want.push_back(responseText(direct, /*include_stats=*/false));
+    }
+    const auto resps = callConcurrently(server.port(), reqs);
+    for (std::size_t i = 0; i < resps.size(); ++i) {
+        ASSERT_TRUE(resps[i].has_value());
+        ServiceResponse got = *resps[i];
+        got.stats = {};
+        EXPECT_EQ(responseText(got, /*include_stats=*/false), want[i])
+            << "request " << i + 1;
     }
     server.stop();
 }
