@@ -1,10 +1,8 @@
 /**
  * @file
- * Reproduces Sec. 6.2.5: the (in)feasibility of A*-search — and
- * measures what the incremental prefix-evaluation engine
- * (core/prefix_sim.hh) buys over re-walking each prefix from t = 0.
+ * Reproduces Sec. 6.2.5: the (in)feasibility of A*-search.
  *
- * Part 1 is the paper's experiment.  Their Java A* (plain
+ * This is the paper's experiment.  Their Java A* (plain
  * f(v) = b(v) + e(v), 2 GB heap) solved a 6-function/50-call instance
  * after exploring 96 of ~4 billion paths and ran out of memory beyond
  * 6 unique functions.  Our implementation strengthens the heuristic
@@ -13,32 +11,24 @@
  * the wall to ~11 functions — beyond which the open list exhausts the
  * memory budget exactly as the paper describes.  Clever search
  * postpones the exponential blow-up; it cannot remove it (Theorem 2).
+ * Each instance is solved twice: plain A*, and seeded with the IAR
+ * incumbent bound (same optimum, fewer expansions).
  *
- * Part 2 runs capped searches over the nine Fig. 5/6 (Table 1)
- * workloads twice — incremental resume vs. the legacy from-scratch
- * evalPrefix() path — and reports evaluations/sec for both.  The two
- * modes perform the identical search (same nodes, same f values, bit
- * for bit), so the ratio isolates the evaluation engine.
- *
- * Both parts land in BENCH_astar.json for machines; `--smoke` prints
+ * The table lands in BENCH_astar.json for machines; `--smoke` prints
  * only the deterministic counters of a fixed instance, which
  * scripts/check.sh --bench-smoke diffs against
  * bench/expectations/astar_smoke.txt.
  */
 
-#include <chrono>
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 
 #include "core/astar.hh"
 #include "core/brute_force.hh"
-#include "exec/thread_pool.hh"
 #include "harness.hh"
 #include "support/strutil.hh"
 #include "support/table.hh"
-#include "trace/dacapo.hh"
 #include "trace/synthetic.hh"
 
 using namespace jitsched;
@@ -78,60 +68,6 @@ struct FeasRow
     AStarResult inc; ///< same search with the IAR incumbent bound
 };
 
-/** One throughput measurement: a capped search, timed. */
-struct TimedRun
-{
-    AStarResult res;
-    double seconds = 0.0;
-
-    double
-    evalsPerSec() const
-    {
-        return seconds > 0.0
-                   ? static_cast<double>(res.evaluations) / seconds
-                   : 0.0;
-    }
-
-    double
-    expandedPerSec() const
-    {
-        return seconds > 0.0
-                   ? static_cast<double>(res.nodesExpanded) / seconds
-                   : 0.0;
-    }
-};
-
-TimedRun
-timedSearch(const Workload &w, const AStarConfig &cfg)
-{
-    TimedRun run;
-    const auto t0 = std::chrono::steady_clock::now();
-    run.res = aStarOptimal(w, cfg);
-    const auto t1 = std::chrono::steady_clock::now();
-    run.seconds =
-        std::chrono::duration<double>(t1 - t0).count();
-    return run;
-}
-
-/** One Fig. 5/6 workload's incremental-vs-scratch comparison. */
-struct ThroughputRow
-{
-    std::string name;
-    std::size_t funcs = 0;
-    std::size_t calls = 0;
-    TimedRun incremental;
-    TimedRun scratch;
-
-    double
-    speedup() const
-    {
-        return scratch.evalsPerSec() > 0.0
-                   ? incremental.evalsPerSec() /
-                         scratch.evalsPerSec()
-                   : 0.0;
-    }
-};
-
 const char *
 statusName(AStarStatus s)
 {
@@ -148,23 +84,6 @@ statusName(AStarStatus s)
     return "?";
 }
 
-void
-writeRunJson(JsonWriter &j, const TimedRun &run)
-{
-    j.beginObject();
-    j.member("status", statusName(run.res.status));
-    j.member("nodes_expanded", run.res.nodesExpanded);
-    j.member("nodes_generated", run.res.nodesGenerated);
-    j.member("nodes_pruned", run.res.nodesPruned);
-    j.member("evaluations", run.res.evaluations);
-    j.member("seconds", run.seconds);
-    j.member("evals_per_sec", run.evalsPerSec());
-    j.member("expanded_per_sec", run.expandedPerSec());
-    j.member("peak_memory_bytes", run.res.peakMemory);
-    j.member("peak_arena_bytes", run.res.peakArenaBytes);
-    j.endObject();
-}
-
 /**
  * Deterministic counters on fixed instances: everything here is a
  * pure function of the search code, so the expectation file pins the
@@ -174,18 +93,13 @@ writeRunJson(JsonWriter &j, const TimedRun &run)
 int
 runSmoke()
 {
-    std::cout << "astar-smoke v1\n";
+    std::cout << "astar-smoke v2\n";
     for (const std::size_t funcs : {4, 5, 6}) {
         const Workload w = feasibilityWorkload(funcs);
 
         AStarConfig pruned;
         pruned.memoryBudget = 256ull << 20;
         const AStarResult a = aStarOptimal(w, pruned);
-
-        AStarConfig scratch;
-        scratch.incrementalEval = false;
-        scratch.memoryBudget = 256ull << 20;
-        const AStarResult b = aStarOptimal(w, scratch);
 
         AStarConfig inc = pruned;
         inc.incumbentPruning = true;
@@ -210,12 +124,7 @@ runSmoke()
                           ? "yes"
                           : "NO")
                   << "\n";
-        std::cout << "  scratch_makespan_agrees="
-                  << (b.status == AStarStatus::Optimal &&
-                              b.makespan == a.makespan
-                          ? "yes"
-                          : "NO")
-                  << " brute_force_agrees="
+        std::cout << "  brute_force_agrees="
                   << (bf.complete && bf.makespan == a.makespan
                           ? "yes"
                           : "NO")
@@ -232,7 +141,6 @@ main(int argc, char **argv)
     if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0)
         return runSmoke();
 
-    // ---- Part 1: the paper's feasibility experiment. ----
     std::cout << "== Sec. 6.2.5: A*-search feasibility ==\n";
     std::cout << "(random 2-level instances, ~50-80 calls; memory "
                  "budget 512 MiB, expansion cap 2M as a time "
@@ -251,7 +159,6 @@ main(int argc, char **argv)
         AStarConfig acfg;
         acfg.memoryBudget = 512ull << 20;
         acfg.maxExpansions = 2'000'000;
-        acfg.pool = &ThreadPool::global();
         const AStarResult res = aStarOptimal(w, acfg);
 
         // The same search seeded with the IAR make-span as an
@@ -299,72 +206,12 @@ main(int argc, char **argv)
                  "blow-up remains, as the strong NP-completeness "
                  "predicts.\n\n";
 
-    // ---- Part 2: incremental vs. from-scratch evaluation. ----
-    const std::size_t scale = benchScaleFromEnv(16);
-    std::cout << "== Incremental vs. from-scratch prefix evaluation "
-                 "(Fig. 5/6 workloads, 1/"
-              << scale << " scale) ==\n";
-    std::cout << "(identical capped searches; only the evaluation "
-                 "engine differs, so evals/sec isolates it)\n";
-
-    // Deep enough that prefixes commit real work, small enough that
-    // the slow baseline finishes: the *fraction* of time saved is
-    // what the ratio reports, and it is stable in the cap.
-    constexpr std::uint64_t kCap = 120;
-
-    AsciiTable tt({"benchmark", "evaluations", "incremental ev/s",
-                   "from-scratch ev/s", "speedup",
-                   "peak arena"});
-    std::vector<ThroughputRow> rows;
-    double log_sum = 0.0;
-    for (const DacapoSpec &spec : dacapoSpecs()) {
-        const Workload w = makeDacapoWorkload(spec.name, scale);
-
-        // Single-threaded on purpose: per-evaluation cost is the
-        // quantity under test, not pool scaling.
-        AStarConfig inc;
-        inc.memoryBudget = 1ull << 30;
-        inc.maxExpansions = kCap;
-        AStarConfig scratch = inc;
-        scratch.incrementalEval = false;
-
-        ThroughputRow row;
-        row.name = spec.name;
-        row.funcs = w.numFunctions();
-        row.calls = w.numCalls();
-        row.incremental = timedSearch(w, inc);
-        row.scratch = timedSearch(w, scratch);
-
-        tt.addRow({row.name,
-                   formatCount(row.incremental.res.evaluations),
-                   formatCount(static_cast<std::uint64_t>(
-                       row.incremental.evalsPerSec())),
-                   formatCount(static_cast<std::uint64_t>(
-                       row.scratch.evalsPerSec())),
-                   strprintf("%.1fx", row.speedup()),
-                   strprintf("%.1f MiB",
-                             static_cast<double>(
-                                 row.incremental.res.peakArenaBytes) /
-                                 (1 << 20))});
-        log_sum += std::log(row.speedup());
-        rows.push_back(std::move(row));
-    }
-    const double geomean =
-        std::exp(log_sum / static_cast<double>(rows.size()));
-    tt.print(std::cout);
-    std::cout << "Geometric-mean speedup: "
-              << strprintf("%.1fx", geomean)
-              << (geomean >= 5.0 ? "  (>= 5x target met)"
-                                 : "  (below 5x target!)")
-              << "\n";
-
     // ---- Machine-readable artifact. ----
     const char *json_path = "BENCH_astar.json";
     std::ofstream out(json_path);
     JsonWriter j(out);
     j.beginObject();
     j.member("bench", "astar");
-    j.member("scale", static_cast<std::uint64_t>(scale));
     j.member("bytes_per_node",
              feas.empty() ? std::uint64_t{0}
                           : feas.front().res.bytesPerNode);
@@ -386,22 +233,6 @@ main(int argc, char **argv)
         j.endObject();
     }
     j.endArray();
-    j.key("throughput").beginArray();
-    for (const ThroughputRow &r : rows) {
-        j.beginObject();
-        j.member("benchmark", r.name);
-        j.member("functions", static_cast<std::uint64_t>(r.funcs));
-        j.member("calls", static_cast<std::uint64_t>(r.calls));
-        j.key("incremental");
-        writeRunJson(j, r.incremental);
-        j.key("from_scratch");
-        writeRunJson(j, r.scratch);
-        j.member("speedup_evals_per_sec", r.speedup());
-        j.endObject();
-    }
-    j.endArray();
-    j.member("speedup_geomean", geomean);
-    j.member("meets_5x_target", geomean >= 5.0);
     j.endObject();
     std::cout << "Wrote " << json_path << "\n";
     return 0;

@@ -14,7 +14,9 @@
 #   scripts/check.sh --bench-smoke
 #                              # also run bench_astar --smoke and diff
 #                              # its deterministic search counters
-#                              # against bench/expectations/ — catches
+#                              # (plain and IAR-seeded single-worker
+#                              # A*, brute-force agreement) against
+#                              # bench/expectations/ — catches
 #                              # unintended changes to A* expansion
 #                              # order, pruning, or evaluation totals
 #   scripts/check.sh --par-smoke
@@ -53,9 +55,11 @@
 #                              # end to end: two jitschedd backends +
 #                              # jitsched-router on ephemeral ports,
 #                              # byte-compare routed responses against
-#                              # a direct daemon, kill one backend
-#                              # mid-run (answers must keep coming),
-#                              # and scrape the router's STATS
+#                              # a direct daemon (also through a
+#                              # second router that hedges every
+#                              # request), kill one backend mid-run
+#                              # (answers must keep coming), and
+#                              # scrape the router's STATS
 #   scripts/check.sh --trace-smoke
 #                              # also exercise distributed tracing end
 #                              # to end: 2 jitschedd + jitsched-router,
@@ -273,6 +277,22 @@ EOF
         exit 1
     fi
 
+    # Hedging: a second router that races both backends on every
+    # request (--hedge-ms 0) must answer the same bytes.
+    ./build/bin/jitsched-router --port 0 --hedge-ms 0 \
+        --backend "127.0.0.1:$port_a" \
+        --backend "127.0.0.1:$port_b" > "$cs_dir/hedge.log" &
+    cs_pids+=($!)
+    port_h="$(scrape_port "$cs_dir/hedge.log" jitsched-router)"
+    ./build/bin/jitsched-cli --port "$port_h" --policy iar --id 1 \
+        --no-stats --timeout-ms 10000 "$cs_dir/workload" \
+        > "$cs_dir/via-hedge.out"
+    if ! diff -u "$cs_dir/direct.out" "$cs_dir/via-hedge.out"; then
+        echo "cluster smoke: hedged response diverged from the" \
+             "direct daemon" >&2
+        exit 1
+    fi
+
     # Fault tolerance: kill backend A; requests must keep being
     # answered, and still byte-identically, by the survivor.  (The
     # request id is kept at 1 so the reference bytes stay valid.)
@@ -301,7 +321,8 @@ EOF
     fi
     cleanup_cluster
     trap - EXIT
-    echo "cluster smoke: byte-identical routing, failover, STATS ok"
+    echo "cluster smoke: byte-identical routing, hedging, failover," \
+         "STATS ok"
 fi
 
 if [ "$run_trace_smoke" -eq 1 ]; then
@@ -666,8 +687,8 @@ if [ "$run_tsan" -eq 1 ]; then
     # and per-worker memory accounting, all under real concurrency.
     JITSCHED_THREADS=4 ./build-tsan/tests/test_core_par
     # The whole service stack is concurrent: acceptor + handler
-    # threads solving side by side, the shared evaluation pool
-    # (astar's child fan-out), parallel clients.
+    # threads solving side by side, the shared evaluation pool,
+    # parallel clients.
     JITSCHED_THREADS=4 ./build-tsan/tests/test_service
     # The cluster layer on top of it: router handlers, the health
     # prober, and a backend bouncing while requests route.

@@ -15,7 +15,7 @@
  *                   [--address A] [--port P] [--handlers N]
  *                   [--mode affinity|round-robin] [--tries N]
  *                   [--try-timeout-ms T] [--hedge-ms T]
- *                   [--max-inflight N] [--trace-out FILE]
+ *                   [--trace-out FILE]
  */
 
 #include <signal.h>
@@ -51,7 +51,6 @@ usage(int rc)
         "  --tries N            tries per request (default 3)\n"
         "  --try-timeout-ms T   per-try response deadline (default 5000)\n"
         "  --hedge-ms T         hedge delay; negative disables (default -1)\n"
-        "  --max-inflight N     per-backend in-flight bound; 0 = none\n"
         "  --trace-out FILE     at shutdown, write collected route\n"
         "                       spans as Chrome/Perfetto trace JSON\n"
         "  --help               this text\n";
@@ -134,9 +133,6 @@ main(int argc, char **argv)
             if (!v)
                 JITSCHED_FATAL("--hedge-ms needs an integer");
             cfg.hedgeDelayMs = static_cast<int>(*v);
-        } else if (arg == "--max-inflight") {
-            cfg.maxInflightPerBackend = static_cast<std::size_t>(
-                intArg(arg, next(), 0));
         } else if (arg == "--trace-out") {
             trace_out = next();
         } else {

@@ -100,10 +100,6 @@ Router::Router(std::vector<BackendEndpoint> backends,
                  return answerRequest(frame);
              })
 {
-    inflight_.reserve(pool_.size());
-    for (std::size_t b = 0; b < pool_.size(); ++b)
-        inflight_.push_back(
-            std::make_unique<std::atomic<std::size_t>>(0));
 }
 
 Router::~Router() { stop(); }
@@ -155,24 +151,13 @@ Router::chainFor(std::uint64_t fingerprint)
 
 std::optional<std::size_t>
 Router::pickBackend(const std::vector<std::size_t> &chain,
-                    const std::vector<bool> &tried, bool *over_bound)
+                    const std::vector<bool> &tried)
 {
-    *over_bound = false;
-    std::optional<std::size_t> saturated;
     for (const std::size_t b : chain) {
-        if (tried[b] || !pool_.routable(b))
-            continue;
-        const std::size_t load =
-            inflight_[b]->load(std::memory_order_relaxed);
-        if (cfg_.maxInflightPerBackend == 0 ||
-            load < cfg_.maxInflightPerBackend)
+        if (!tried[b] && pool_.routable(b))
             return b;
-        if (!saturated.has_value())
-            saturated = b; // fallback: over bound beats nothing
     }
-    if (saturated.has_value())
-        *over_bound = true;
-    return saturated;
+    return std::nullopt;
 }
 
 int
@@ -300,54 +285,48 @@ Router::hedgedExchange(std::size_t primary, std::size_t secondary,
         return result;
     }
 
-    // First lane to turn readable commits us to its full frame; the
-    // loser is closed mid-flight (its response is a duplicate of a
-    // pure function's value anyway).
+    // First lane to turn readable is read first.  If its frame comes
+    // through, the other lane is closed mid-flight (its response is
+    // a duplicate of a pure function's value anyway, and slow is not
+    // down, so it is never recorded).  If it fails, the other lane
+    // is still live and gets the time that is left.
     pollfd lanes[2] = {{a->fd(), POLLIN, 0}, {b->fd(), POLLIN, 0}};
-    const int both_ms = msUntil(deadline);
-    const int ready = ::poll(lanes, 2, both_ms);
-    const bool a_ready = ready > 0 && (lanes[0].revents & POLLIN);
-    const bool b_ready = ready > 0 && (lanes[1].revents & POLLIN);
-
-    auto finish = [&](std::size_t backend,
-                      std::unique_ptr<BackendConn> winner,
-                      std::unique_ptr<BackendConn> loser,
-                      bool won_by_hedge) -> bool {
-        winner->setReadTimeout(msUntil(deadline));
-        std::optional<std::string> frame = winner->readFrame();
-        if (!frame.has_value()) {
-            result.timedOut = winner->timedOut();
-            pool_.recordResult(backend, false);
-            return false;
+    const int ready = ::poll(lanes, 2, msUntil(deadline));
+    if (ready > 0) {
+        // The hedge lane goes first only when it alone is readable.
+        const bool hedge_first = !(lanes[0].revents & POLLIN) &&
+                                 (lanes[1].revents & POLLIN);
+        for (const bool hedge : {hedge_first, !hedge_first}) {
+            std::unique_ptr<BackendConn> &conn = hedge ? b : a;
+            const std::size_t backend = hedge ? secondary : primary;
+            const int left_ms = msUntil(deadline);
+            if (left_ms <= 0) {
+                // A zero read timeout would mean "wait forever".
+                result.timedOut = true;
+                pool_.recordResult(backend, false);
+                continue;
+            }
+            conn->setReadTimeout(left_ms);
+            std::optional<std::string> frame = conn->readFrame();
+            if (!frame.has_value()) {
+                result.timedOut = conn->timedOut();
+                pool_.recordResult(backend, false);
+                continue;
+            }
+            pool_.recordResult(backend, true);
+            pool_.release(backend, std::move(conn), true);
+            result.frame = *std::move(frame);
+            result.ok = true;
+            result.timedOut = false;
+            result.hedgeWon = hedge;
+            if (hedge)
+                JITSCHED_OBS(
+                    obs::ClusterMetrics::get().hedgeWins.add());
+            return result;
         }
-        pool_.recordResult(backend, true);
-        pool_.release(backend, std::move(winner), true);
-        loser.reset(); // closed; never recorded — slow is not down
-        result.frame = *std::move(frame);
-        result.ok = true;
-        result.hedgeWon = won_by_hedge;
-        if (won_by_hedge)
-            JITSCHED_OBS(obs::ClusterMetrics::get().hedgeWins.add());
-        return true;
-    };
+        return result;
+    }
 
-    if (a_ready || (!b_ready && ready > 0)) {
-        if (finish(primary, std::move(a), std::move(b), false))
-            return result;
-        // Primary produced garbage after all; try the hedge lane
-        // with what time is left (b may be gone if finish consumed
-        // it — it did not: finish only took a).
-        result = Exchange{};
-        result.hedged = true;
-        return result;
-    }
-    if (b_ready) {
-        if (finish(secondary, std::move(b), std::move(a), true))
-            return result;
-        result = Exchange{};
-        result.hedged = true;
-        return result;
-    }
     // Neither answered within the try budget.
     result.timedOut = true;
     pool_.recordResult(primary, false);
@@ -408,9 +387,8 @@ Router::route(ServiceRequest req)
     for (int attempt = 0; attempt < max_tries; ++attempt) {
         if (has_deadline && msUntil(overall) <= 0)
             break;
-        bool over_bound = false;
         const std::optional<std::size_t> picked =
-            pickBackend(chain, tried, &over_bound);
+            pickBackend(chain, tried);
         if (!picked.has_value())
             break; // nothing routable
         const std::size_t backend = *picked;
@@ -422,11 +400,10 @@ Router::route(ServiceRequest req)
         if (try_ms <= 0)
             break;
 
-        // Hedge only on the first, un-saturated try: retries already
-        // have a fallback, and a saturated cluster should not double
-        // its own load.
+        // Hedge only on the first try: retries already have a
+        // fallback.
         std::optional<std::size_t> hedge_mate;
-        if (cfg_.hedgeDelayMs >= 0 && attempt == 0 && !over_bound) {
+        if (cfg_.hedgeDelayMs >= 0 && attempt == 0) {
             for (const std::size_t b : chain) {
                 if (b != backend && !tried[b] && pool_.routable(b)) {
                     hedge_mate = b;
@@ -440,10 +417,6 @@ Router::route(ServiceRequest req)
                 obs::ClusterMetrics::get().requestsRetried.add());
 
         ++attempts_made;
-        inflight_[backend]->fetch_add(1, std::memory_order_relaxed);
-        if (hedge_mate.has_value())
-            inflight_[*hedge_mate]->fetch_add(
-                1, std::memory_order_relaxed);
         const auto t0 = SteadyClock::now();
         Exchange ex =
             hedge_mate.has_value()
@@ -454,10 +427,6 @@ Router::route(ServiceRequest req)
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 SteadyClock::now() - t0)
                 .count();
-        inflight_[backend]->fetch_sub(1, std::memory_order_relaxed);
-        if (hedge_mate.has_value())
-            inflight_[*hedge_mate]->fetch_sub(
-                1, std::memory_order_relaxed);
 
         const std::size_t served_by =
             ex.hedgeWon && hedge_mate.has_value() ? *hedge_mate

@@ -23,11 +23,10 @@
  *  - bounded retries with jittered exponential backoff, walking the
  *    ring's deterministic spill chain — retries are safe because
  *    scheduling requests are idempotent;
- *  - bounded-load spill: an owner with too many requests in flight
- *    is skipped for the next chain node even while healthy;
  *  - optional hedging: if the owner has not answered within
  *    hedgeDelayMs, the request is also sent to the next backend in
- *    the chain and the first full response wins.
+ *    the chain and the first full response wins; if either lane
+ *    fails, the other one still gets the time that is left.
  *
  * Try outcomes feed the BackendPool's health machines; the pool's
  * prober re-admits ejected backends behind the router's back.
@@ -38,7 +37,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -103,13 +101,6 @@ struct RouterConfig
      * take whichever full response lands first.  < 0 disables.
      */
     int hedgeDelayMs = -1;
-
-    /**
-     * Bounded-load spill: a backend already carrying this many
-     * in-flight router requests is skipped for the next chain node.
-     * 0 disables the bound.
-     */
-    std::size_t maxInflightPerBackend = 0;
 
     /** Backend pool + health knobs. */
     BackendPoolConfig pool;
@@ -187,14 +178,12 @@ class Router
     std::vector<std::size_t> chainFor(std::uint64_t fingerprint);
 
     /**
-     * Pick the next backend to try: first routable chain entry not
-     * yet tried, preferring ones under the in-flight bound; falls
-     * back to over-bound routable entries; nullopt when nothing is
-     * routable at all.
+     * Pick the next backend to try: the first routable chain entry
+     * not yet tried; nullopt when there is none.
      */
     std::optional<std::size_t>
     pickBackend(const std::vector<std::size_t> &chain,
-                const std::vector<bool> &tried, bool *over_bound);
+                const std::vector<bool> &tried);
 
     /** One send + read-response on @p backend. */
     Exchange tryExchange(std::size_t backend,
@@ -202,7 +191,8 @@ class Router
 
     /**
      * Hedged exchange: primary first, secondary launched after
-     * hedgeDelayMs of silence; first full frame wins.
+     * hedgeDelayMs of silence; first full frame wins, and a lane
+     * that fails leaves the other one to finish.
      */
     Exchange hedgedExchange(std::size_t primary,
                             std::size_t secondary,
@@ -219,9 +209,6 @@ class Router
     std::atomic<std::uint64_t> failed_{0};
     std::atomic<std::uint64_t> rr_next_{0};
     std::atomic<std::uint64_t> jitter_case_{0};
-
-    /** In-flight router requests per backend (bounded-load spill). */
-    std::vector<std::unique_ptr<std::atomic<std::size_t>>> inflight_;
 
     FrameServer front_;
 };

@@ -7,14 +7,19 @@
  * strictly increase.  The guiding function is the paper's
  * f(v) = b(v) + e(v): bubbles plus extra execution time committed
  * within the compile window of the prefix.  f never overestimates the
- * final cost, so the first closed (complete) node popped from the
- * priority list is optimal.
+ * final cost, so once no open node has f below the best complete
+ * schedule found, that schedule is optimal.
  *
  * As the paper observes (Sec. 6.2.5), the open list grows
  * exponentially with the number of unique functions; the search keeps
- * an explicit memory account and aborts with OutOfMemory when it
+ * an explicit memory account and refuses with OutOfMemory when it
  * exceeds its budget (their Java implementation died at 2 GB once
  * instances had more than 6 unique methods).
+ *
+ * There is one search engine, in core/astar_par.cc: aStarOptimal()
+ * runs it with one worker and no deadline and keeps the
+ * refuse-on-budget contract; aStarParallel() (core/astar_par.hh)
+ * runs it sharded across workers with the anytime contract.
  */
 
 #ifndef JITSCHED_CORE_ASTAR_HH
@@ -45,28 +50,10 @@ struct AStarConfig
     std::uint64_t maxExpansions = 0;
 
     /**
-     * Pool for fanning out the candidate (child) evaluations of one
-     * expansion; nullptr evaluates them sequentially.  The result is
-     * bit-identical either way: children are generated and pushed in
-     * a fixed order, only their evalPrefix() calls run concurrently.
+     * Ignored.  Kept so callers that still set it compile; the
+     * search evaluates every child on its own worker thread.
      */
     ThreadPool *pool = nullptr;
-
-    /**
-     * Fan out only when an expansion has at least this many children;
-     * below it the hand-off overhead outweighs the win.
-     */
-    std::size_t minParallelChildren = 16;
-
-    /**
-     * Evaluate children incrementally from the parent's saved
-     * PrefixSimState (core/prefix_sim.hh) instead of replaying the
-     * call sequence from t = 0 per child.  Bit-identical f values and
-     * node ordering either way; `false` keeps the from-scratch
-     * evalPrefix() path alive for differential testing and for the
-     * bench_astar speedup baseline.
-     */
-    bool incrementalEval = true;
 
     /**
      * Discard a generated node when an exact duplicate state (same
@@ -74,18 +61,12 @@ struct AStarConfig
      * resume clock and compile end) was already generated.  Strictly
      * safety-preserving — duplicates have identical completion-cost
      * sets — and typically collapses the factorial interleavings of
-     * compiles that finish ahead of need.  Requires incrementalEval;
-     * auto-disabled above duplicateMaxFunctions.
+     * compiles that finish ahead of need.  Workloads wider than 64
+     * functions skip the table: there A* exhausts any memory budget
+     * long before pruning matters, while each entry costs
+     * O(#functions) bytes.
      */
     bool duplicateDetection = true;
-
-    /**
-     * Signature width cap for duplicate detection.  Beyond a few
-     * dozen unique functions A* exhausts any memory budget long
-     * before pruning matters, while each table entry costs
-     * O(#functions) bytes — so very wide workloads skip the table.
-     */
-    std::size_t duplicateMaxFunctions = 64;
 
     /**
      * Seed the search with the IAR schedule's cost as an incumbent
@@ -95,17 +76,19 @@ struct AStarConfig
      * cost is bit-identical with or without the bound — when the
      * bound is tight the search simply returns the incumbent
      * schedule itself — but the explored node count can shrink by
-     * orders of magnitude.  Off by default in aStarOptimal() so the
-     * checked-in deterministic node-count expectations keep meaning
-     * "plain A*"; aStarParallel() and the astar-par service policy
-     * turn it on.
+     * orders of magnitude.  Read by aStarOptimal() only, and off
+     * by default there so bench_astar's feasibility table and the
+     * checked-in node-count expectations keep meaning the paper's
+     * plain A*; the `astar` service policy turns it on, and
+     * aStarParallel() always seeds the bound (its anytime contract
+     * needs a schedule in hand).
      */
     bool incumbentPruning = false;
 
     /**
      * Worker count for aStarParallel() (HDA*-style hash-distributed
-     * expansion); 0 = one worker per hardware thread.  Ignored by
-     * aStarOptimal().
+     * expansion); 0 = one worker per hardware thread.  aStarOptimal()
+     * always runs one worker.
      */
     std::size_t threads = 1;
 
@@ -158,21 +141,28 @@ struct AStarResult
     /** Nodes expanded (popped and branched). */
     std::uint64_t nodesExpanded = 0;
 
-    /** Nodes generated (stored). */
+    /**
+     * Nodes stored.  Closing (complete-schedule) leaves are priced
+     * inline and never stored, so they are not counted here.
+     */
     std::uint64_t nodesGenerated = 0;
 
     /** Generated nodes discarded by the duplicate-state table. */
     std::uint64_t nodesPruned = 0;
 
-    /** Prefix evaluations performed (child + closing evaluations). */
+    /**
+     * Prefix evaluations performed: child and closing evaluations,
+     * plus one for pricing the IAR seed when the incumbent is seeded.
+     */
     std::uint64_t evaluations = 0;
 
     /**
-     * Peak accounted memory in bytes: the high-water mark of arena +
-     * open list + duplicate table.  The open list is tracked by its
-     * own high-water mark — after pruning (and after deep pops) its
-     * size diverges from the arena's, so charging one per-node
-     * constant would misstate whichever is larger.
+     * Peak accounted memory in bytes: the sum, over workers, of the
+     * high-water marks of arena, open list and duplicate table.  The
+     * open list is tracked by its own high-water mark — after pruning
+     * (and after deep pops) its size diverges from the arena's, so
+     * charging one per-node constant would misstate whichever is
+     * larger.
      */
     std::uint64_t peakMemory = 0;
 
@@ -187,7 +177,7 @@ struct AStarResult
 
     /**
      * Bytes charged per stored node, including the per-node
-     * PrefixSimState — kept in the result so reports reflect what
+     * PrefixSimState and level signature — kept in the result so reports reflect what
      * the memory budget actually metered.
      */
     std::uint64_t bytesPerNode = 0;
@@ -210,7 +200,7 @@ struct AStarResult
     /** Which budget ended an Incumbent run (None otherwise). */
     AStarStop stopCause = AStarStop::None;
 
-    // ---- Parallel-search diagnostics (aStarParallel only) ----
+    // ---- Per-worker diagnostics (one worker under aStarOptimal) ----
 
     /** Nodes expanded by each worker (size == worker count). */
     std::vector<std::uint64_t> workerExpansions;
@@ -224,7 +214,8 @@ struct AStarResult
     /**
      * Incumbent-improvement trail: wall-clock seconds from search
      * start, the improved make-span, and the worker that closed the
-     * improving leaf.  Entry 0 is the IAR seed.  Feeds the trace
+     * improving leaf.  Entry 0 is the IAR seed when the incumbent is
+     * seeded.  Feeds the trace
      * timeline (bench_astar_par --trace-out).
      */
     struct IncumbentEvent
@@ -238,6 +229,12 @@ struct AStarResult
 
 /**
  * Search for an optimal schedule (1 execution + 1 compilation core).
+ *
+ * Runs the core/astar_par.cc engine with one worker and no deadline
+ * (cfg.threads and cfg.anytimeDeadlineMs are ignored).  A budget that
+ * trips before optimality is proven is a refusal: status OutOfMemory
+ * or ExpansionCap, with no schedule.  Deterministic: the same inputs
+ * give the same schedule and counters.
  */
 AStarResult aStarOptimal(const Workload &w,
                          const AStarConfig &cfg = {});

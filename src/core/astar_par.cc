@@ -23,9 +23,15 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /**
- * Arena node of one worker.  Unlike the sequential arena, a parent
- * may live on another worker, so the reference is (worker, index);
- * the root is node (0, 0) and is the only node without an event.
+ * Signature width cap for duplicate detection (see
+ * AStarConfig::duplicateDetection).
+ */
+constexpr std::size_t kDuplicateMaxFunctions = 64;
+
+/**
+ * Arena node of one worker.  A parent may live on another worker, so
+ * the reference is (worker, index); the root is node (0, 0) and is
+ * the only node without an event.
  */
 struct ParNode
 {
@@ -35,7 +41,7 @@ struct ParNode
     Tick f = 0;
 };
 
-/** Same ordering contract as the sequential open list. */
+/** Open-list entry (small, by design: the queue is the hot set). */
 struct OpenEntry
 {
     Tick f;
@@ -46,6 +52,10 @@ struct OpenEntry
     {
         if (f != other.f)
             return f > other.f;
+        // Depth-first among equal-f nodes: newer (deeper) nodes pop
+        // first, so complete schedules surface as soon as their
+        // total cost matches the current bound.  Optimality is
+        // unaffected — only the order among equally-promising nodes.
         return index < other.index;
     }
 };
@@ -124,8 +134,11 @@ struct Shared
      */
     std::atomic<std::int64_t> live{0};
 
-    /** Best-known complete cost in f units (seeded from IAR). */
-    std::atomic<Tick> incumbentF{0};
+    /**
+     * Best-known complete cost in f units: the IAR seed, or maxTick
+     * when the search runs unseeded (plain A*).
+     */
+    std::atomic<Tick> incumbentF{maxTick};
 
     /** Improvement bookkeeping, off the hot path. */
     std::mutex incMutex;
@@ -380,26 +393,20 @@ workerMain(Shared &sh, std::uint32_t self)
     }
 }
 
-} // anonymous namespace
-
+/**
+ * The search itself, shared by both entry points: @p num_workers
+ * workers, with the IAR incumbent seeded when @p seed_incumbent.
+ * Returns Optimal, or Incumbent when a budget in @p cfg tripped.
+ */
 AStarResult
-aStarParallel(const Workload &w, const AStarConfig &cfg)
+runSearch(const Workload &w, const AStarConfig &cfg,
+          std::size_t num_workers, bool seed_incumbent)
 {
-    if (w.numCalls() == 0)
-        JITSCHED_FATAL("aStarParallel: empty call sequence");
-
-    std::size_t num_workers = cfg.threads;
-    if (num_workers == 0) {
-        num_workers = std::thread::hardware_concurrency();
-        if (num_workers == 0)
-            num_workers = 1;
-    }
-
     Shared sh(w, cfg);
     sh.numWorkers = num_workers;
     sh.numF = w.numFunctions();
     sh.dedup = cfg.duplicateDetection &&
-               sh.numF <= cfg.duplicateMaxFunctions;
+               sh.numF <= kDuplicateMaxFunctions;
     sh.nodeBytes = sizeof(ParNode) + sizeof(PrefixSimState) +
                    sizeof(std::uint32_t) +
                    sh.numF * sizeof(LevelSig) + 16;
@@ -413,13 +420,17 @@ aStarParallel(const Workload &w, const AStarConfig &cfg)
     res.bytesPerNode = sh.nodeBytes;
 
     // Incumbent seed: the IAR schedule priced through the search's
-    // own cost model, so f units match exactly.
-    IarBound seed = iarUpperBound(w);
-    const Tick seed_f =
-        evalComplete(w, seed.schedule.events(), best_exec);
-    sh.incumbentF.store(seed_f, std::memory_order_relaxed);
-    sh.trail.push_back({0.0, sh.lb + seed_f, 0});
-    res.evaluations = 1;
+    // own cost model, so f units match exactly.  Unseeded, the first
+    // closing leaf installs the first incumbent.
+    Schedule seed_schedule;
+    if (seed_incumbent) {
+        seed_schedule = iarUpperBound(w).schedule;
+        const Tick seed_f =
+            evalComplete(w, seed_schedule.events(), best_exec);
+        sh.incumbentF.store(seed_f, std::memory_order_relaxed);
+        sh.trail.push_back({0.0, sh.lb + seed_f, 0});
+        res.evaluations = 1;
+    }
 
     sh.workers.reserve(num_workers);
     sh.inboxes.reserve(num_workers);
@@ -447,7 +458,9 @@ aStarParallel(const Workload &w, const AStarConfig &cfg)
     }
     sh.live.store(1, std::memory_order_relaxed);
 
-    {
+    if (num_workers == 1) {
+        workerMain(sh, 0);
+    } else {
         std::vector<std::thread> threads;
         threads.reserve(num_workers);
         for (std::size_t i = 0; i < num_workers; ++i)
@@ -490,11 +503,15 @@ aStarParallel(const Workload &w, const AStarConfig &cfg)
         res.gapBound = incumbent_f - min_alive;
     }
     res.stopCause = stop_cause;
-    res.makespan = sh.lb + incumbent_f;
+    // maxTick: unseeded and stopped before any leaf closed.
+    res.makespan = incumbent_f == maxTick ? 0 : sh.lb + incumbent_f;
 
     if (sh.bestWorker < 0) {
         // No leaf beat the seed: the IAR schedule is the answer.
-        res.schedule = std::move(seed.schedule);
+        // Unseeded, a complete run always closes a leaf.
+        if (!seed_incumbent && stop_cause == AStarStop::None)
+            JITSCHED_PANIC("A* open list exhausted without a goal");
+        res.schedule = std::move(seed_schedule);
     } else {
         std::vector<CompileEvent> events;
         std::int32_t wk = sh.bestWorker;
@@ -534,6 +551,64 @@ aStarParallel(const Workload &w, const AStarConfig &cfg)
     // check enforces.
     res.peakMemory =
         res.peakArenaBytes + res.peakOpenBytes + res.peakTableBytes;
+
+    return res;
+}
+
+} // anonymous namespace
+
+AStarResult
+aStarOptimal(const Workload &w, const AStarConfig &cfg)
+{
+    if (w.numCalls() == 0)
+        JITSCHED_FATAL("aStarOptimal: empty call sequence");
+
+    AStarConfig one = cfg;
+    one.anytimeDeadlineMs = 0;
+    AStarResult res = runSearch(w, one, 1, cfg.incumbentPruning);
+
+    // Refuse on budget: an anytime stop carries no schedule here.
+    if (res.status == AStarStatus::Incumbent) {
+        res.status = res.stopCause == AStarStop::Memory
+                         ? AStarStatus::OutOfMemory
+                         : AStarStatus::ExpansionCap;
+        res.schedule = Schedule();
+        res.makespan = 0;
+        res.gapBound = 0;
+        res.stopCause = AStarStop::None;
+    }
+
+#ifndef JITSCHED_OBS_DISABLED
+    // The result struct stays the deterministic, tested API; the
+    // registry instruments are the monitoring surface, fed in one
+    // bulk update per search.
+    obs::SolverMetrics &m = obs::SolverMetrics::get();
+    m.astarSearches.add();
+    m.astarNodesExpanded.add(res.nodesExpanded);
+    m.astarNodesGenerated.add(res.nodesGenerated);
+    m.astarNodesPruned.add(res.nodesPruned);
+    m.astarEvaluations.add(res.evaluations);
+    m.astarPeakMemoryBytes.setMax(
+        static_cast<std::int64_t>(res.peakMemory));
+    m.astarPeakArenaBytes.setMax(
+        static_cast<std::int64_t>(res.peakArenaBytes));
+#endif
+    return res;
+}
+
+AStarResult
+aStarParallel(const Workload &w, const AStarConfig &cfg)
+{
+    if (w.numCalls() == 0)
+        JITSCHED_FATAL("aStarParallel: empty call sequence");
+
+    std::size_t num_workers = cfg.threads;
+    if (num_workers == 0) {
+        num_workers = std::thread::hardware_concurrency();
+        if (num_workers == 0)
+            num_workers = 1;
+    }
+    AStarResult res = runSearch(w, cfg, num_workers, true);
 
 #ifndef JITSCHED_OBS_DISABLED
     {

@@ -1,8 +1,10 @@
 /**
  * @file
  * Shared-memory parallel anytime A* over the schedule-tree of Fig. 4
- * — an HDA*-style (hash-distributed A*) decomposition of
- * core/astar.cc.
+ * — an HDA*-style (hash-distributed A*) search.  This is the only A*
+ * expansion loop in the tree: aStarOptimal() (core/astar.hh) runs it
+ * with one worker and no deadline, under the refuse-on-budget
+ * contract.
  *
  * Each of T workers owns a private open list, node arena and
  * duplicate table.  A generated child is routed to the worker that
@@ -11,14 +13,15 @@
  * core/prefix_sim.hh — via a lock-free MPSC inbox
  * (exec/mpsc_queue.hh).  Because duplicates share the key, they share
  * the hash, land on the same worker, and are deduplicated by its
- * private table: the distributed search prunes exactly the states the
- * sequential one does, with no shared hash table.
+ * private table: the distributed search prunes exactly the states a
+ * single worker does, with no shared hash table.
  *
  * The search is *anytime*: it seeds an incumbent upper bound from the
  * IAR schedule (core/iar.hh, iarUpperBound) and every worker prunes
  * generated nodes with f >= incumbent; closing a leaf below the bound
- * tightens the global incumbent (atomic).  Run to completion the
- * result cost is bit-identical to aStarOptimal(): pruned nodes cannot
+ * tightens the global incumbent (atomic).  Closing leaves are priced
+ * inline and never stored.  Run to completion the result cost is
+ * bit-identical to aStarOptimal(): pruned nodes cannot
  * beat the retained incumbent, and at quiescence no live node could
  * improve on it, so the incumbent *is* the optimum.  When a budget
  * trips first (wall-clock deadline, memory, expansion cap) the search
@@ -49,10 +52,8 @@ namespace jitsched {
  * Hash-distributed parallel anytime A*.
  *
  * Honors AStarConfig::{threads, memoryBudget, maxExpansions,
- * anytimeDeadlineMs, duplicateDetection, duplicateMaxFunctions};
- * incumbent pruning is always on (it is what makes the anytime
- * contract possible), and evaluation is always incremental.
- * cfg.pool / cfg.minParallelChildren / cfg.incrementalEval /
+ * anytimeDeadlineMs, duplicateDetection}; incumbent pruning is always
+ * on (it is what makes the anytime contract possible).  cfg.pool and
  * cfg.incumbentPruning are ignored.
  *
  * @returns status Optimal with the proven-optimal schedule, or

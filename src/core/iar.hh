@@ -100,8 +100,7 @@ IarResult iarScheduleOracle(const Workload &w,
 
 /**
  * A feasible schedule plus its simulated make-span, used as an
- * incumbent upper bound by the exact searches (core/astar.cc,
- * core/astar_par.cc).
+ * incumbent upper bound by the A* search (core/astar_par.cc).
  */
 struct IarBound
 {

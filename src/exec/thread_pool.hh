@@ -11,8 +11,7 @@
  * only when.
  *
  * The pool is the execution substrate of the batch-evaluation engine
- * (exec/batch_eval.hh) and of the A* child-evaluation fan-out
- * (core/astar.cc); it deliberately knows nothing about either.
+ * (exec/batch_eval.hh); it deliberately knows nothing about it.
  */
 
 #ifndef JITSCHED_EXEC_THREAD_POOL_HH

@@ -1,6 +1,7 @@
 #include "qa/oracles.hh"
 
 #include <algorithm>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,8 @@
 #include "core/candidate_levels.hh"
 #include "core/iar.hh"
 #include "core/lower_bound.hh"
+#include "core/prefix_sim.hh"
+#include "core/search_util.hh"
 #include "core/single_level.hh"
 #include "qa/fuzz_workload.hh"
 #include "sim/makespan.hh"
@@ -218,6 +221,95 @@ checkScheduleSemantics(const Workload &w, const Schedule &s,
                    std::to_string(w.numCalls()) + " calls");
 }
 
+std::vector<CompileEvent>
+randomTreePath(const Workload &w, std::uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    std::vector<LevelSig> sig(w.numFunctions(), -1);
+    std::vector<CompileEvent> events;
+    for (;;) {
+        // Children of the current node: any called function, any
+        // level above its last compiled one.
+        std::vector<CompileEvent> children;
+        for (std::size_t i = 0; i < w.numFunctions(); ++i) {
+            const auto f = static_cast<FuncId>(i);
+            if (w.callCount(f) == 0)
+                continue;
+            for (int l = sig[i] + 1;
+                 l < static_cast<int>(w.function(f).numLevels()); ++l)
+                children.push_back({f, static_cast<Level>(l)});
+        }
+        if (children.empty())
+            return events;
+        const CompileEvent ev = children[rng() % children.size()];
+        events.push_back(ev);
+        sig[ev.func] = ev.level;
+    }
+}
+
+void
+checkIncrementalPath(const Workload &w,
+                     const std::vector<CompileEvent> &events,
+                     std::vector<Violation> &out)
+{
+    const PrefixEvaluator eval(w);
+    const std::vector<Tick> best = bestExecTimes(w);
+    const auto mismatch = [&](std::size_t depth, const char *what,
+                              Tick incremental, Tick scratch) {
+        report(out, "incremental-eval",
+               std::string(what) + " at depth " +
+                   std::to_string(depth) + ": incremental " +
+                   std::to_string(incremental) + " != from-scratch " +
+                   std::to_string(scratch));
+    };
+
+    std::vector<LevelSig> sig(w.numFunctions(), -1);
+    std::vector<CompileEvent> prefix;
+    PrefixSimState state = eval.rootState();
+    const Tick root_f = evalPrefix(w, prefix, best).f();
+    if (eval.rootF() != root_f) {
+        mismatch(0, "f", eval.rootF(), root_f);
+        return;
+    }
+    std::size_t uncompiled = w.numCalledFunctions();
+    for (const CompileEvent &ev : events) {
+        // Only tree paths are walked; an invalid schedule is the
+        // semantics oracle's to report.
+        if (ev.func >= w.numFunctions() || w.callCount(ev.func) == 0 ||
+            static_cast<int>(ev.level) <= sig[ev.func] ||
+            ev.level >= w.function(ev.func).numLevels())
+            return;
+
+        const PrefixStep next = eval.append(state, sig.data(), ev);
+        if (sig[ev.func] < 0)
+            --uncompiled;
+        sig[ev.func] = ev.level;
+        prefix.push_back(ev);
+
+        const PrefixCost scratch = evalPrefix(w, prefix, best);
+        if (next.state.compileEnd != scratch.compileEnd) {
+            mismatch(prefix.size(), "compile end",
+                     next.state.compileEnd, scratch.compileEnd);
+            return;
+        }
+        if (next.f != scratch.f()) {
+            mismatch(prefix.size(), "f", next.f, scratch.f());
+            return;
+        }
+        // Once every called function is compiled, the resumed
+        // complete walk must match the from-scratch one too.
+        if (uncompiled == 0) {
+            const Tick inc = eval.complete(next.state, sig.data());
+            const Tick full = evalComplete(w, prefix, best);
+            if (inc != full) {
+                mismatch(prefix.size(), "complete cost", inc, full);
+                return;
+            }
+        }
+        state = next.state;
+    }
+}
+
 void
 checkQualityChain(const Workload &w, const OracleConfig &cfg,
                   std::vector<Violation> &out, OracleStats *stats)
@@ -269,19 +361,23 @@ checkQualityChain(const Workload &w, const OracleConfig &cfg,
     acfg.memoryBudget = cfg.astarMemoryBudget;
     acfg.maxExpansions = cfg.astarMaxExpansions;
     const AStarResult as = aStarOptimal(w, acfg);
-    AStarConfig scratch_cfg = acfg;
-    scratch_cfg.incrementalEval = false;
-    scratch_cfg.duplicateDetection = false;
-    const AStarResult as_scratch = aStarOptimal(w, scratch_cfg);
 
-    if (!bf.complete || as.status != AStarStatus::Optimal ||
-        as_scratch.status != AStarStatus::Optimal) {
+    // Both exact solvers prune with the incremental PrefixEvaluator;
+    // the from-scratch walk checks it along random tree paths here
+    // and along every returned optimum below.
+    for (std::uint64_t seed = 1; seed <= 4; ++seed)
+        checkIncrementalPath(w, randomTreePath(w, seed), out);
+
+    if (!bf.complete || as.status != AStarStatus::Optimal) {
         if (stats != nullptr)
             ++stats->exactSkipped;
         return; // budget exhausted, not a correctness signal
     }
     if (stats != nullptr)
         ++stats->exactRuns;
+
+    checkIncrementalPath(w, bf.schedule.events(), out);
+    checkIncrementalPath(w, as.schedule.events(), out);
 
     checkScheduleSemantics(w, bf.schedule, "brute-force", out);
     checkScheduleSemantics(w, as.schedule, "astar", out);
@@ -297,18 +393,11 @@ checkQualityChain(const Workload &w, const OracleConfig &cfg,
                "astar reported " + std::to_string(as.makespan) +
                    ", simulator disagrees");
 
-    // Both exact solvers — and both A* evaluation modes, with and
-    // without the prefix-resume + duplicate-pruning shortcuts — find
-    // the same optimum.
+    // Both exact solvers find the same optimum.
     if (bf.makespan != as.makespan)
         report(out, "exactness",
                "brute-force " + std::to_string(bf.makespan) +
                    " != astar " + std::to_string(as.makespan));
-    if (as.makespan != as_scratch.makespan)
-        report(out, "exactness",
-               "astar incremental " + std::to_string(as.makespan) +
-                   " != astar from-scratch " +
-                   std::to_string(as_scratch.makespan));
 
     // The hash-distributed parallel search finds the same cost at
     // every worker count — HDA* sharding, per-worker duplicate
@@ -327,6 +416,7 @@ checkQualityChain(const Workload &w, const OracleConfig &cfg,
             const Tick reported =
                 par.makespan + (cfg.perturbAstarPar ? 1 : 0);
             checkScheduleSemantics(w, par.schedule, who, out);
+            checkIncrementalPath(w, par.schedule.events(), out);
             if (simulate(w, par.schedule).makespan != reported)
                 report(out, "solver-accounting",
                        who + " reported " + std::to_string(reported) +

@@ -20,10 +20,16 @@
  *   lower bound         lowerBoundAllLevels <= every make-span
  *                       (Sec. 5.2: the execution thread must at
  *                       least run every call at its fastest level)
- *   exactness           bruteForce == A* (incremental) == A*
- *                       (from-scratch) on small instances — guards
- *                       the prefix-resume and duplicate-state
- *                       pruning shortcuts in core/astar.cc
+ *   exactness           bruteForce == A* == parallel A* at 1, 2
+ *                       and 8 workers on small instances — guards
+ *                       duplicate-state pruning, incumbent pruning
+ *                       and the sharding of core/astar_par.cc
+ *   incremental-eval    along random schedule-tree paths and along
+ *                       every returned optimum, the incremental
+ *                       PrefixEvaluator equals the from-scratch
+ *                       evalPrefix()/evalComplete() walk bit for bit
+ *                       — the independent check of the evaluator
+ *                       both exact solvers prune with
  *   approximation order optimal <= IAR <= base-level, and
  *                       optionally IAR <= opt-only on the shapes
  *                       where the paper's Formula-2 classification
@@ -65,7 +71,10 @@ struct Violation
 /** Which oracles run and their resource guards. */
 struct OracleConfig
 {
-    /** Run the exact solvers (brute force + two A* variants). */
+    /**
+     * Run the exact solvers (brute force, A*, parallel A*) and the
+     * incremental-evaluation relation.
+     */
     bool runExact = true;
 
     /**
@@ -78,7 +87,7 @@ struct OracleConfig
     /** Node budget for the exhaustive search; incomplete => skip. */
     std::uint64_t bruteMaxNodes = 2'000'000;
 
-    /** Expansion cap for both A* runs; cap hit => skip. */
+    /** Expansion cap for the A* runs; cap hit => skip. */
     std::uint64_t astarMaxExpansions = 200'000;
 
     /** A* node-store budget in bytes; OOM => skip. */
@@ -151,10 +160,32 @@ void checkScheduleSemantics(const Workload &w, const Schedule &s,
                             std::vector<Violation> &out);
 
 /**
+ * A seeded random root-to-leaf path of the schedule tree (Fig. 4):
+ * compile events drawn uniformly among each node's children until
+ * every called function sits at its top level.
+ */
+std::vector<CompileEvent> randomTreePath(const Workload &w,
+                                         std::uint64_t seed);
+
+/**
+ * The incremental-evaluation relation along one path: after every
+ * event, PrefixEvaluator::append() must reproduce evalPrefix()'s
+ * compile end and f, and once every called function is compiled,
+ * PrefixEvaluator::complete() must equal evalComplete() — bit for
+ * bit.  The walk stops at the first mismatch or at the first event
+ * that is not a tree step (an invalid schedule is reported by
+ * checkScheduleSemantics instead).
+ */
+void checkIncrementalPath(const Workload &w,
+                          const std::vector<CompileEvent> &events,
+                          std::vector<Violation> &out);
+
+/**
  * The cross-solver quality chain on one instance:
- * lb <= [bruteForce == A* == A*-scratch <=] IAR <= base-level, with
- * every emitted schedule passing checkScheduleSemantics and every
- * solver's self-reported make-span matching the simulator.
+ * lb <= [bruteForce == A* == parallel A* <=] IAR <= base-level, with
+ * every emitted schedule passing checkScheduleSemantics, every
+ * solver's self-reported make-span matching the simulator, and the
+ * incremental-evaluation relation holding on exact-sized instances.
  */
 void checkQualityChain(const Workload &w, const OracleConfig &cfg,
                        std::vector<Violation> &out,

@@ -9,8 +9,14 @@
  * hammer at the bottom).
  */
 
+#include <poll.h>
+#include <sys/socket.h>
+
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -23,6 +29,8 @@
 #include "service/client.hh"
 #include "service/engine.hh"
 #include "service/protocol.hh"
+#include "service/server.hh"
+#include "service/socket_util.hh"
 #include "trace/paper_examples.hh"
 
 namespace jitsched {
@@ -345,6 +353,156 @@ TEST(RouterLoopback, HedgedRequestsStayByteIdentical)
         EXPECT_EQ(stripStats(*raw), directAnswer(reference, req));
     }
     EXPECT_EQ(cluster.router().requestsFailed(), 0u);
+}
+
+/**
+ * A scripted stand-in backend on an ephemeral loopback port: one
+ * thread accepts connections one at a time and hands each to the
+ * script, which owns (and must close) the fd.
+ */
+class ScriptedBackend
+{
+  public:
+    explicit ScriptedBackend(std::function<void(int)> script)
+    {
+        std::string error;
+        listen_fd_ = listenTcp("127.0.0.1", 0, 16, &error);
+        EXPECT_GE(listen_fd_, 0) << error;
+        port_ = boundPort(listen_fd_);
+        thread_ = std::thread([this, script] {
+            while (!stop_.load()) {
+                pollfd p{listen_fd_, POLLIN, 0};
+                if (::poll(&p, 1, 10) <= 0)
+                    continue;
+                const int fd = ::accept(listen_fd_, nullptr, nullptr);
+                if (fd < 0)
+                    continue;
+                setIoTimeouts(fd, 2000, 2000);
+                script(fd);
+            }
+        });
+    }
+
+    ~ScriptedBackend()
+    {
+        stop_ = true;
+        thread_.join();
+        closeFd(listen_fd_);
+    }
+
+    std::uint16_t port() const { return port_; }
+
+  private:
+    int listen_fd_ = -1;
+    std::uint16_t port_ = 0;
+    std::atomic<bool> stop_{false};
+    std::thread thread_;
+};
+
+/** Counters two scripted backends use to order their moves. */
+struct Handshake
+{
+    std::mutex m;
+    std::condition_variable cv;
+    int hedgesReceived = 0;
+    int primaryCloses = 0;
+
+    int
+    bump(int Handshake::*counter)
+    {
+        std::lock_guard<std::mutex> g(m);
+        const int now = ++(this->*counter);
+        cv.notify_all();
+        return now;
+    }
+
+    int
+    read(int Handshake::*counter)
+    {
+        std::lock_guard<std::mutex> g(m);
+        return this->*counter;
+    }
+
+    void
+    await(int Handshake::*counter, int at_least)
+    {
+        std::unique_lock<std::mutex> lk(m);
+        cv.wait_for(lk, std::chrono::seconds(2),
+                    [&] { return this->*counter >= at_least; });
+    }
+};
+
+TEST(RouterLoopback, HedgeLaneFinishesWhenThePrimaryFails)
+{
+    // The owner reads each request, stays silent until the hedge
+    // lane has it too, then hangs up without answering.  The hedge
+    // lane (a relay in front of a real daemon) answers only after
+    // that, so the primary's EOF is always seen first: the router
+    // must then finish on the live hedge lane instead of dropping it
+    // and failing the request.
+    ServiceEngine engine;
+    ServiceServer daemon(engine);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+
+    Handshake hs;
+    ScriptedBackend primary([&](int fd) {
+        LineReader reader(fd);
+        if (reader.readFrame().has_value()) {
+            const int n = hs.read(&Handshake::primaryCloses) + 1;
+            hs.await(&Handshake::hedgesReceived, n);
+        }
+        closeFd(fd);
+        hs.bump(&Handshake::primaryCloses);
+    });
+    ScriptedBackend relay([&](int fd) {
+        ServiceClient upstream;
+        if (upstream.connect("127.0.0.1", daemon.port())) {
+            LineReader reader(fd);
+            while (auto frame = reader.readFrame()) {
+                const int n = hs.bump(&Handshake::hedgesReceived);
+                hs.await(&Handshake::primaryCloses, n);
+                const auto answer = upstream.callRaw(*frame);
+                if (!answer.has_value() || !writeAll(fd, *answer))
+                    break;
+            }
+        }
+        closeFd(fd);
+    });
+
+    RouterConfig rcfg;
+    rcfg.hedgeDelayMs = 1;
+    rcfg.tryTimeoutMs = 2000;
+    rcfg.backoffBaseMs = 1;
+    rcfg.backoffMaxMs = 5;
+    // Keep the failing owner routable so every request takes the
+    // hedged path.
+    rcfg.pool.health.suspectAfter = 1000;
+    rcfg.pool.health.downAfter = 1000;
+    rcfg.pool.health.breakerMinSamples = 1000;
+    Router router({{"127.0.0.1", primary.port()},
+                   {"127.0.0.1", relay.port()}},
+                  rcfg);
+    ASSERT_TRUE(router.start(&error)) << error;
+
+    ServiceEngine reference;
+    int sent = 0;
+    for (int cores = 1; cores <= 64 && sent < 5; ++cores) {
+        ServiceRequest req =
+            makeRequest(700 + cores, "iar", figure1Workload());
+        req.options.compileCores = cores;
+        if (router.ring().ownerOf(requestFingerprint(req)) != 0)
+            continue; // the scripted owner must be chain[0]
+        ++sent;
+        EXPECT_EQ(stripStats(router.route(req)),
+                  directAnswer(reference, req))
+            << "compile cores " << cores;
+    }
+    ASSERT_EQ(sent, 5) << "too few keys owned by the scripted owner";
+    router.stop();
+    EXPECT_EQ(hs.read(&Handshake::hedgesReceived), 5);
+    EXPECT_EQ(hs.read(&Handshake::primaryCloses), 5);
+    EXPECT_EQ(router.requestsFailed(), 0u);
 }
 
 TEST(RouterLoopback, HammerConcurrentRouteEjectProbe)

@@ -41,9 +41,10 @@ TEST(AStar, ResultMatchesSimulator)
 /**
  * A* must agree with exhaustive search on random tiny instances.
  * The shared exactness oracle (qa/oracles.hh) checks brute force
- * against *both* A* variants — incremental and from-scratch — plus
- * schedule validity and simulator agreement, so this sweep guards
- * the same invariant the fuzzer does.
+ * against A* and the parallel A*, the incremental evaluator against
+ * the from-scratch walk, plus schedule validity and simulator
+ * agreement, so this sweep guards the same invariant the fuzzer
+ * does.
  */
 class AStarVsBruteTest
     : public ::testing::TestWithParam<std::uint64_t>
@@ -106,6 +107,9 @@ TEST(AStar, MemoryBudgetTriggersOom)
     const AStarResult res = aStarOptimal(w, acfg);
     EXPECT_EQ(res.status, AStarStatus::OutOfMemory);
     EXPECT_GE(res.peakMemory, acfg.memoryBudget);
+    // A refusal, not an anytime answer: no schedule comes back.
+    EXPECT_TRUE(res.schedule.events().empty());
+    EXPECT_EQ(res.makespan, 0);
 }
 
 TEST(AStar, ExpansionCap)
@@ -122,6 +126,8 @@ TEST(AStar, ExpansionCap)
     const AStarResult res = aStarOptimal(w, acfg);
     EXPECT_EQ(res.status, AStarStatus::ExpansionCap);
     EXPECT_EQ(res.nodesExpanded, 11u);
+    EXPECT_TRUE(res.schedule.events().empty());
+    EXPECT_EQ(res.stopCause, AStarStop::None);
 }
 
 TEST(AStar, GeneratedCountsAreConsistent)

@@ -3,8 +3,9 @@
  * Differential tests for the incremental prefix-evaluation engine
  * (core/prefix_sim.hh): chained PrefixSimState appends must be
  * bit-identical to the from-scratch evalPrefix()/evalComplete()
- * walks, and A* with duplicate-state pruning must return the same
- * optimum as A* without it and as brute force.
+ * walks (the exactness oracle's incremental-eval relation), and A*
+ * with duplicate-state pruning must return the same optimum as A*
+ * without it and as brute force.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +16,7 @@
 #include "core/astar.hh"
 #include "core/brute_force.hh"
 #include "core/prefix_sim.hh"
-#include "core/search_util.hh"
+#include "qa/oracles.hh"
 #include "sim/makespan.hh"
 #include "trace/paper_examples.hh"
 #include "trace/synthetic.hh"
@@ -36,62 +37,19 @@ randomWorkload(std::uint64_t seed, std::size_t funcs,
 }
 
 /**
- * Walk a random valid path of the schedule tree, checking after every
- * appended event that the incremental state reproduces the
- * from-scratch prefix cost bit for bit.
+ * Walk a random root-to-leaf path of the schedule tree through the
+ * exactness oracle's incremental-evaluation relation: every appended
+ * event must reproduce the from-scratch prefix cost bit for bit.
  */
 void
 checkRandomPath(const Workload &w, std::uint64_t seed)
 {
-    const PrefixEvaluator eval(w);
-    const std::vector<Tick> best = bestExecTimes(w);
-    std::mt19937_64 rng(seed);
-
-    std::vector<LevelSig> sig(w.numFunctions(), -1);
-    std::vector<CompileEvent> events;
-    PrefixSimState state = eval.rootState();
-
-    EXPECT_EQ(eval.rootF(), evalPrefix(w, events, best).f());
-
-    for (int step = 0; step < 64; ++step) {
-        // Candidate children: any called function, any level above
-        // its last compiled one.
-        std::vector<CompileEvent> candidates;
-        for (std::size_t i = 0; i < w.numFunctions(); ++i) {
-            const auto f = static_cast<FuncId>(i);
-            if (w.callCount(f) == 0)
-                continue;
-            for (int l = sig[i] + 1;
-                 l < static_cast<int>(w.function(f).numLevels()); ++l)
-                candidates.push_back({f, static_cast<Level>(l)});
-        }
-        if (candidates.empty())
-            break;
-        const CompileEvent ev =
-            candidates[rng() % candidates.size()];
-
-        const PrefixStep next = eval.append(state, sig.data(), ev);
-        events.push_back(ev);
-        sig[ev.func] = ev.level;
-
-        const PrefixCost scratch = evalPrefix(w, events, best);
-        ASSERT_EQ(next.state.compileEnd, scratch.compileEnd)
-            << "seed " << seed << " depth " << events.size();
-        ASSERT_EQ(next.f, scratch.f())
-            << "seed " << seed << " depth " << events.size();
-
-        // Once coverage is complete, the resumed complete walk must
-        // match the from-scratch one too.
-        bool covered = true;
-        for (const FuncId f : w.firstAppearanceOrder())
-            covered = covered && sig[f] >= 0;
-        if (covered) {
-            ASSERT_EQ(eval.complete(next.state, sig.data()),
-                      evalComplete(w, events, best))
-                << "seed " << seed << " depth " << events.size();
-        }
-        state = next.state;
-    }
+    std::vector<qa::Violation> violations;
+    qa::checkIncrementalPath(w, qa::randomTreePath(w, seed),
+                             violations);
+    EXPECT_TRUE(violations.empty())
+        << "seed " << seed << "\n"
+        << qa::describeViolations(violations);
 }
 
 TEST(PrefixSim, IncrementalMatchesFromScratchOnRandomPaths)
@@ -140,32 +98,6 @@ TEST(PrefixSim, StateIsMonotoneAlongPaths)
         prev_f = next.f;
         sig[ev.func] = ev.level;
         state = next.state;
-    }
-}
-
-TEST(AStarIncremental, BitIdenticalToFromScratch)
-{
-    // With duplicate detection off, the incremental engine must
-    // reproduce the from-scratch search exactly: same optimum, same
-    // node counts, same expansion total.
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-        const Workload w = randomWorkload(seed, 4, 25, 2);
-
-        AStarConfig inc;
-        inc.duplicateDetection = false;
-        const AStarResult a = aStarOptimal(w, inc);
-
-        AStarConfig scratch;
-        scratch.incrementalEval = false;
-        const AStarResult b = aStarOptimal(w, scratch);
-
-        ASSERT_EQ(a.status, AStarStatus::Optimal) << "seed " << seed;
-        ASSERT_EQ(b.status, AStarStatus::Optimal) << "seed " << seed;
-        EXPECT_EQ(a.makespan, b.makespan) << "seed " << seed;
-        EXPECT_EQ(a.nodesExpanded, b.nodesExpanded) << "seed " << seed;
-        EXPECT_EQ(a.nodesGenerated, b.nodesGenerated)
-            << "seed " << seed;
-        EXPECT_EQ(a.schedule, b.schedule) << "seed " << seed;
     }
 }
 

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/astar.hh"
 #include "core/iar.hh"
 #include "core/single_level.hh"
 #include "exec/batch_eval.hh"
@@ -141,34 +140,6 @@ TEST(BatchDeterminism, EvaluateOneAgreesWithSimulate)
     expectSameResult(eval.evaluateOne(w, s), direct, 1, 2);
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(cache.misses(), 1u);
-}
-
-TEST(BatchDeterminism, AStarIdenticalWithAndWithoutPool)
-{
-    for (const std::uint64_t seed : {3u, 5u, 9u}) {
-        SyntheticConfig cfg;
-        cfg.numFunctions = 5;
-        cfg.numCalls = 40;
-        cfg.numLevels = 2;
-        cfg.seed = seed;
-        const Workload w = generateSynthetic(cfg);
-
-        const AStarResult seq = aStarOptimal(w);
-
-        ThreadPool pool(8);
-        AStarConfig pcfg;
-        pcfg.pool = &pool;
-        pcfg.minParallelChildren = 1; // force the parallel path
-        const AStarResult par = aStarOptimal(w, pcfg);
-
-        ASSERT_EQ(par.status, seq.status) << "seed " << seed;
-        EXPECT_EQ(par.makespan, seq.makespan) << "seed " << seed;
-        EXPECT_EQ(par.schedule, seq.schedule) << "seed " << seed;
-        EXPECT_EQ(par.nodesExpanded, seq.nodesExpanded)
-            << "seed " << seed;
-        EXPECT_EQ(par.nodesGenerated, seq.nodesGenerated)
-            << "seed " << seed;
-    }
 }
 
 } // anonymous namespace

@@ -656,9 +656,9 @@ TEST(ServiceServerConcurrency, SolvesOverlapAcrossHandlers)
 
 TEST(ServiceServerConcurrency, ConcurrentAStarSolvesMatchTheLibrary)
 {
-    // Overlapping astar solves share ThreadPool::global() for their
-    // child fan-out; each answer must still be what a lone library
-    // call gives.
+    // Overlapping astar solves run side by side on their handler
+    // threads; each answer must still be what a lone library call
+    // gives.
     ServiceEngine engine;
     ServiceServer server(engine);
     std::string error;
