@@ -9,8 +9,9 @@
 #                              # ctest labels) with -fsanitize=thread
 #                              # in build-tsan/ and run them (thread
 #                              # pool, eval cache, batch determinism,
-#                              # admission gate, loopback server,
-#                              # cluster router + health prober)
+#                              # loopback server solving on its
+#                              # handlers, cluster router + health
+#                              # prober)
 #   scripts/check.sh --bench-smoke
 #                              # also run bench_astar --smoke and diff
 #                              # its deterministic search counters
@@ -33,7 +34,10 @@
 #                              # trace JSON with jitsched-trace-check,
 #                              # then scrape STATS and diff the
 #                              # instrument key set against
-#                              # bench/expectations/obs_keys.txt
+#                              # bench/expectations/obs_keys.txt;
+#                              # and check that jitschedd and
+#                              # jitsched-router refuse an
+#                              # out-of-range --port / --handlers
 #   scripts/check.sh --fuzz-smoke
 #                              # also run the differential fuzzer:
 #                              # ~20s of jitsched-fuzz solvers, ~10s
@@ -162,7 +166,7 @@ if [ "$run_obs_smoke" -eq 1 ]; then
     cleanup_obs() {
         [ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null || true
         [ -n "$daemon_pid" ] && wait "$daemon_pid" 2>/dev/null || true
-        rm -f "$workload" "$log" "$trace" "$log.stats"
+        rm -f "$workload" "$log" "$trace" "$log.stats" "$log.refused"
     }
     trap cleanup_obs EXIT
     # The paper's Fig. 1 instance (trace/paper_examples.hh).
@@ -206,9 +210,29 @@ EOF
              "expectation from the awk output above)" >&2
         exit 1
     fi
+    # Out-of-range flags must stop the shipped binaries at startup
+    # with a message naming the flag, not bind a wrapped port or
+    # start more solve slots than the daemon allows.
+    # The router gets a backend so that only --port can stop it.
+    for refused in "jitschedd --port 65536" \
+                   "jitsched-router --port 65536 --backend 127.0.0.1:1" \
+                   "jitschedd --handlers 65"; do
+        read -r bin flag value rest <<< "$refused"
+        rc=0
+        # $rest is unquoted: it holds extra arguments.
+        timeout 5 "./build/bin/$bin" "$flag" "$value" $rest \
+            > "$log.refused" 2>&1 || rc=$?
+        if [ "$rc" -eq 0 ] || [ "$rc" -eq 124 ] ||
+                ! grep -q -- "^fatal: $flag " "$log.refused"; then
+            echo "obs smoke: '$refused' was not refused at startup" \
+                 "(exit $rc):" >&2
+            cat "$log.refused" >&2
+            exit 1
+        fi
+    done
     cleanup_obs
     trap - EXIT
-    echo "obs smoke: trace valid, STATS keys match"
+    echo "obs smoke: trace valid, STATS keys match, bad flags refused"
 fi
 
 if [ "$run_cluster_smoke" -eq 1 ]; then

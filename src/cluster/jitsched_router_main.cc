@@ -108,8 +108,10 @@ main(int argc, char **argv)
         } else if (arg == "--address") {
             cfg.bindAddress = next();
         } else if (arg == "--port") {
-            cfg.port = static_cast<std::uint16_t>(
-                intArg(arg, next(), 0));
+            const std::int64_t port = intArg(arg, next(), 0);
+            if (port > 65535)
+                JITSCHED_FATAL("--port must be 0..65535, got ", port);
+            cfg.port = static_cast<std::uint16_t>(port);
         } else if (arg == "--handlers") {
             cfg.handlerThreads = static_cast<std::size_t>(
                 intArg(arg, next(), 1));

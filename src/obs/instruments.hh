@@ -79,7 +79,7 @@ struct SolverMetrics
     static SolverMetrics &get();
 };
 
-/** src/service — server, admission queue, engine. */
+/** src/service — server (connections, admission), engine. */
 struct ServiceMetrics
 {
     Counter &connectionsAccepted; ///< service.connections.accepted

@@ -13,8 +13,8 @@
  *
  * A span is one named interval attributed to a trace:
  *
- *   service.admission_wait   admission -> solve start in the
- *                            AdmissionQueue gate
+ *   service.admission_wait   admission -> solve start on the
+ *                            connection handler
  *   service.solve            PolicyRegistry solver run
  *   service.serialize        response serialization
  *   cluster.route_attempt    one router try (tagged backend+outcome)

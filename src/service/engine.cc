@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "exec/batch_eval.hh"
 #include "obs/instruments.hh"
 #include "obs/span.hh"
 
@@ -10,12 +11,10 @@ namespace jitsched {
 ServiceResponse
 ServiceEngine::serve(const ServiceRequest &req)
 {
-    served_.fetch_add(1, std::memory_order_relaxed);
-
-    const SchedulerPolicy *policy = registry_.find(req.policy);
+    const SchedulerPolicy *policy = registry().find(req.policy);
     if (policy == nullptr) {
         std::string known;
-        for (const std::string &n : registry_.names()) {
+        for (const std::string &n : registry().names()) {
             if (!known.empty())
                 known += ", ";
             known += n;

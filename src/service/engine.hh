@@ -3,11 +3,11 @@
  * ServiceEngine: one parsed request in, one response out.
  *
  * The engine is the library-call form of the service — the daemon's
- * connection handlers call it concurrently through the admission gate,
- * the CLI can call it in-process, and the loopback tests compare
- * daemon responses byte-for-byte against it.  It owns the EvalCache
- * that makes duplicate requests cheap and routes every
- * static-schedule evaluation through a BatchEvaluator on a shared
+ * connection handlers call it concurrently, each solving the request
+ * it parsed, the CLI can call it in-process, and the loopback tests
+ * compare daemon responses byte-for-byte against it.  It owns the
+ * EvalCache that makes duplicate requests cheap and routes every
+ * static-schedule evaluation through a BatchEvaluator on the global
  * thread pool.
  *
  * serve() is safe for overlapping calls.  It builds a per-request
@@ -23,9 +23,6 @@
 #ifndef JITSCHED_SERVICE_ENGINE_HH
 #define JITSCHED_SERVICE_ENGINE_HH
 
-#include <atomic>
-
-#include "exec/batch_eval.hh"
 #include "exec/eval_cache.hh"
 #include "exec/thread_pool.hh"
 #include "service/policy.hh"
@@ -40,16 +37,11 @@ class ServiceEngine
     static constexpr std::size_t kEvalCacheEntries = 4096;
 
     /**
-     * @param registry policy table; must outlive the engine
-     * @param pool executor for the evaluation fan-out; nullptr uses
-     *        ThreadPool::global()
+     * Starts ThreadPool::global() now, so a bad JITSCHED_THREADS
+     * fails at startup rather than at the first request.
      */
-    explicit ServiceEngine(
-        const PolicyRegistry &registry = PolicyRegistry::builtin(),
-        ThreadPool *pool = nullptr)
-        : registry_(registry),
-          pool_(pool != nullptr ? *pool : ThreadPool::global()),
-          cache_(kEvalCacheEntries), evaluator_(pool_, &cache_)
+    ServiceEngine()
+        : pool_(ThreadPool::global()), cache_(kEvalCacheEntries)
     {
     }
 
@@ -60,26 +52,20 @@ class ServiceEngine
      * Serve one request synchronously.  Always returns a response —
      * unknown policies, empty workloads and solver refusals come back
      * as structured errors, never as process exits.  Fills every
-     * response field except stats.queueNs (the admission gate's).
+     * response field except stats.queueNs (the server's admission
+     * time).
      */
     ServiceResponse serve(const ServiceRequest &req);
 
-    const PolicyRegistry &registry() const { return registry_; }
-    EvalCache &cache() { return cache_; }
-    BatchEvaluator &evaluator() { return evaluator_; }
-
-    /** Requests served (ok or error) since construction. */
-    std::uint64_t requestsServed() const
+    const PolicyRegistry &registry() const
     {
-        return served_.load(std::memory_order_relaxed);
+        return PolicyRegistry::builtin();
     }
+    EvalCache &cache() { return cache_; }
 
   private:
-    const PolicyRegistry &registry_;
     ThreadPool &pool_;
     EvalCache cache_;
-    BatchEvaluator evaluator_;
-    std::atomic<std::uint64_t> served_{0};
 };
 
 } // namespace jitsched

@@ -15,8 +15,9 @@
  * since resynchronizing would mean reading an unbounded amount.
  *
  * PING, STATS and DUMP are answered inline on the handler, never
- * through the owner's queue: a health probe or a scrape must keep
- * answering while the server sheds load — that is when it matters.
+ * through the owner's fallback: a health probe or a scrape costs no
+ * solve and no relay, so a loaded server still answers it — that is
+ * when it matters.
  */
 
 #ifndef JITSCHED_SERVICE_FRAME_SERVER_HH

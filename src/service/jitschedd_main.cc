@@ -9,7 +9,6 @@
  *
  * Usage:
  *   jitschedd [--address A] [--port P] [--handlers N]
- *             [--queue-depth D]
  *             [--result-cache-mb M] [--snapshot-file FILE]
  *             [--trace-out FILE]
  */
@@ -31,6 +30,12 @@ using namespace jitsched;
 
 namespace {
 
+/**
+ * Most --handlers accepted.  Each handler solves the requests it
+ * reads, so this caps the solves running at once.
+ */
+constexpr std::uint64_t kMaxHandlers = 64;
+
 [[noreturn]] void
 usage(int rc)
 {
@@ -38,11 +43,9 @@ usage(int rc)
         "usage: jitschedd [options]\n"
         "  --address A          bind address (default 127.0.0.1)\n"
         "  --port P             bind port; 0 = ephemeral (default 0)\n"
-        "  --handlers N         connection handler threads; each solves\n"
-        "                       the requests it reads, so N solves run\n"
-        "                       at once (default 4)\n"
-        "  --queue-depth D      requests admitted at once before the\n"
-        "                       rest are shed (default 64)\n"
+        "  --handlers N         connection handler threads, 1..64; each\n"
+        "                       solves the requests it reads, so N\n"
+        "                       solves run at once (default 4)\n"
         "  --result-cache-mb M  request-level result cache budget in MiB;\n"
         "                       0 disables (default: JITSCHED_RESULT_CACHE_MB,\n"
         "                       else 0)\n"
@@ -92,16 +95,16 @@ main(int argc, char **argv)
         } else if (arg == "--address") {
             cfg.bindAddress = next();
         } else if (arg == "--port") {
-            cfg.port = static_cast<std::uint16_t>(
-                intArg(arg, next()));
+            const std::uint64_t port = intArg(arg, next());
+            if (port > 65535)
+                JITSCHED_FATAL("--port must be 0..65535, got ", port);
+            cfg.port = static_cast<std::uint16_t>(port);
         } else if (arg == "--handlers") {
-            cfg.handlerThreads =
-                static_cast<std::size_t>(intArg(arg, next()));
-            if (cfg.handlerThreads == 0)
-                JITSCHED_FATAL("--handlers must be >= 1");
-        } else if (arg == "--queue-depth") {
-            cfg.admission.maxDepth =
-                static_cast<std::size_t>(intArg(arg, next()));
+            const std::uint64_t handlers = intArg(arg, next());
+            if (handlers == 0 || handlers > kMaxHandlers)
+                JITSCHED_FATAL("--handlers must be 1..", kMaxHandlers,
+                               ", got ", handlers);
+            cfg.handlerThreads = static_cast<std::size_t>(handlers);
         } else if (arg == "--result-cache-mb") {
             cfg.resultCacheBytes =
                 static_cast<std::size_t>(intArg(arg, next())) << 20;

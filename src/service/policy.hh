@@ -84,7 +84,7 @@ struct ServiceOptions
 
     /**
      * Request deadline in milliseconds from admission; -1 = none.
-     * Enforced by the admission gate (astar-par also takes a
+     * Enforced at admission by the server (astar-par also takes a
      * positive one as its anytime budget).
      */
     std::int64_t deadlineMs = -1;

@@ -83,8 +83,8 @@
  * not grammar.
  *
  * The server answers STATS frames inline on the connection handler,
- * bypassing the admission queue — scrapes keep working while the
- * queue is shedding load, which is exactly when they matter.
+ * off the solve path — a scrape never waits for a solve of its own,
+ * which is when a loaded daemon needs it most.
  *
  * The in-memory flight recorder (obs/flight_recorder.hh) is scraped
  * with a DUMP frame, also answered inline:
@@ -134,10 +134,9 @@
  *   error <message>             (error frames only)
  *   end
  *
- * Like STATS, PING is answered inline on the connection handler and
- * bypasses the admission queue: a health check must answer while the
- * daemon is shedding load — a loaded backend is still a live
- * backend.  The cluster router's health-state machine
+ * Like STATS, PING is answered inline on the connection handler,
+ * off the solve path: a health check must answer while the daemon is
+ * loaded — a loaded backend is still a live backend.  The cluster router's health-state machine
  * (cluster/backend.hh) is driven entirely by this verb.
  *
  * Every verb shares one envelope: a `<tag> <id> [args]` header line,
@@ -208,7 +207,7 @@ struct ServiceStats
 {
     std::uint64_t cacheHits = 0;   ///< EvalCache hits this request
     std::uint64_t cacheMisses = 0; ///< EvalCache misses this request
-    std::int64_t queueNs = 0;      ///< admission -> processing start
+    std::int64_t queueNs = 0;      ///< admission -> answer, minus solve
     std::int64_t solveNs = 0;      ///< processing wall time
 
     /**

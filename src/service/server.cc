@@ -1,6 +1,7 @@
 #include "service/server.hh"
 
 #include <chrono>
+#include <string>
 #include <utility>
 
 #include <unistd.h>
@@ -44,20 +45,76 @@ frontEndMetrics()
     return m;
 }
 
+/**
+ * Admit @p req and solve it on the calling handler thread.  Always
+ * answers: with the engine's response, or with DEADLINE_EXCEEDED
+ * when the request's deadline is already spent at admission.
+ */
+ServiceResponse
+serveAdmitted(ServiceEngine &engine, const ServiceRequest &req)
+{
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point admitted = Clock::now();
+    JITSCHED_OBS({
+        obs::ServiceMetrics &m = obs::ServiceMetrics::get();
+        m.requestsAccepted.add();
+        m.queueDepth.add(1);
+    });
+
+    ServiceResponse resp;
+    const bool expired =
+        req.options.deadlineMs >= 0 &&
+        Clock::now() >=
+            admitted + std::chrono::milliseconds(req.options.deadlineMs);
+    if (expired) {
+        JITSCHED_OBS(obs::ServiceMetrics::get().requestsExpired.add());
+        resp = makeErrorResponse(
+            req.id, errcode::deadlineExceeded,
+            "request waited past its " +
+                std::to_string(req.options.deadlineMs) +
+                " ms deadline");
+    } else {
+        // The admission-wait span covers admission -> solve start;
+        // the solve span nests inside engine.serve().
+        obs::SpanCollector::global().recordBetween(
+            req.traceId, "service.admission_wait", admitted,
+            Clock::now());
+        resp = engine.serve(req);
+        JITSCHED_OBS(
+            obs::ServiceMetrics::get().requestsProcessed.add());
+    }
+
+    // Error answers come from makeErrorResponse, which never saw the
+    // request's trace id.  queue-ns is the admission time: everything
+    // since admission that was not the solve itself.
+    resp.stats.traceId = req.traceId;
+    resp.stats.queueNs =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            Clock::now() - admitted)
+            .count() -
+        resp.stats.solveNs;
+    if (resp.stats.queueNs < 0)
+        resp.stats.queueNs = 0;
+    JITSCHED_OBS({
+        obs::ServiceMetrics &m = obs::ServiceMetrics::get();
+        m.queueWaitNs.observe(resp.stats.queueNs);
+        m.queueDepth.add(-1);
+    });
+    return resp;
+}
+
 } // anonymous namespace
 
 ServiceServer::ServiceServer(ServiceEngine &engine, ServerConfig cfg)
     : engine_(engine), cfg_(std::move(cfg)),
-      queue_(engine_, cfg_.admission),
       rcache_(ResultCacheConfig{cfg_.resultCacheBytes}),
       front_(frontEndConfig(cfg_), frontEndMetrics(),
              [this](std::string_view frame) {
                  return answerRequest(frame);
              })
 {
-    // SNAPSHOT saves the result cache inline like STATS/DUMP — a
-    // warm-state save must work while the admission gate is
-    // shedding.
+    // SNAPSHOT saves the result cache inline like STATS/DUMP, off
+    // the solve path.
     front_.addVerb(tag::snapshot, [this](std::string_view frame) {
         return answerFrame<SnapshotRequest, SnapshotResponse>(
             frame, [this](const SnapshotRequest &req) {
@@ -93,7 +150,6 @@ ServiceServer::start(std::string *error)
             else
                 warn("jitschedd: starting cold — ", snap_error);
         }
-        queue_.restart();
     });
 }
 
@@ -102,7 +158,6 @@ ServiceServer::stop()
 {
     if (!front_.stop())
         return;
-    queue_.stop();
 
     // Clean-shutdown warm-state save: the handlers, and with them
     // every solve, have joined, so the cache is quiescent.
@@ -171,9 +226,8 @@ ServiceServer::answerRequest(std::string_view frame)
         policy = req->policy;
         request_id = req->id;
 
-        // Result-cache fast path, probed before the admission
-        // gate: a shed-under-load daemon keeps serving the
-        // answers it already knows.
+        // Result-cache fast path, probed before admission: a
+        // known answer skips the deadline check and the solve.
         ResultCache::Probe probe;
         if (rcache_.enabled()) {
             const auto c0 = std::chrono::steady_clock::now();
@@ -247,11 +301,11 @@ ServiceServer::answerRequest(std::string_view frame)
         }
 
         if (!from_cache && !answered) {
-            resp = queue_.serve(*req);
-            // The leader publishes unconditionally — even a
-            // shed/expired answer releases the followers (the
-            // admission gate answers every serve, so no flight is
-            // ever abandoned).
+            resp = serveAdmitted(engine_, *req);
+            // The leader publishes unconditionally — even an
+            // expired answer releases the followers (serveAdmitted
+            // answers every request, so no flight is ever
+            // abandoned).
             if (probe.kind == ResultCache::Probe::Kind::Leader)
                 rcache_.publish(probe, resp.ok,
                                 responseBodyText(resp));

@@ -1,17 +1,22 @@
 /**
  * @file
  * jitschedd's serving core: the shared connection front end
- * (service/frame_server.hh) over the admission gate.
+ * (service/frame_server.hh) over the ServiceEngine.
  *
  * The front end accepts connections, frames requests and answers
  * PING/STATS/DUMP inline; the daemon adds SNAPSHOT and the solve
  * path.  A request frame is parsed with the non-fatal protocol path,
  * and either a parse error is answered immediately or the request is
- * solved through the admission gate (after a result-cache probe) on
- * the handler thread that parsed it, and the response relayed.  One
- * malformed request never desynchronizes or kills a connection — the
- * client gets a structured INVALID_ARGUMENT frame and can keep the
- * socket.
+ * solved (after a result-cache probe) on the handler thread that
+ * parsed it, and the response relayed.  The handlers are the solve
+ * slots — the service analogue of the paper's m compile cores
+ * (SimOptions::compileCores; DESIGN.md 5a) — so a request never waits
+ * behind another one's solve while a core sits idle, and at most
+ * handlerThreads solves run at once.  A request whose deadline is
+ * already spent when it is admitted is answered DEADLINE_EXCEEDED
+ * without burning solver time.  One malformed request never
+ * desynchronizes or kills a connection — the client gets a
+ * structured INVALID_ARGUMENT frame and can keep the socket.
  *
  * Embeddable by design: the loopback tests and bench_service run the
  * server in-process on an ephemeral port; jitschedd_main.cc adds
@@ -25,7 +30,6 @@
 #include <string>
 #include <string_view>
 
-#include "service/admission.hh"
 #include "service/engine.hh"
 #include "service/frame_server.hh"
 #include "service/result_cache.hh"
@@ -58,9 +62,6 @@ struct ServerConfig
      * cannot be resynchronized without reading an unbounded amount.
      */
     std::size_t maxFrameBytes = std::size_t(1) << 20;
-
-    /** Admission-gate knobs. */
-    AdmissionConfig admission;
 
     /**
      * Request-level result-cache budget in bytes
@@ -135,8 +136,6 @@ class ServiceServer
     /** Request frames answered (valid and malformed). */
     std::uint64_t framesServed() const { return front_.framesServed(); }
 
-    AdmissionQueue &admission() { return queue_; }
-
     /** The request-level result cache (disabled unless configured). */
     ResultCache &resultCache() { return rcache_; }
 
@@ -149,7 +148,6 @@ class ServiceServer
 
     ServiceEngine &engine_;
     const ServerConfig cfg_;
-    AdmissionQueue queue_;
     ResultCache rcache_;
     FrameServer front_;
 };

@@ -199,7 +199,7 @@ TEST(Metrics, PrometheusExposition)
     MetricsRegistry reg;
     Counter &c = reg.counter("prom.requests.total");
     c.add(3);
-    Gauge &g = reg.gauge("prom.queue-depth");
+    Gauge &g = reg.gauge("prom.in-flight");
     g.set(-2);
     Histogram &h = reg.histogram("prom.wait_ns", {10, 100});
     h.observe(5);    // le 10
@@ -210,8 +210,8 @@ TEST(Metrics, PrometheusExposition)
     // mapped to '_'; histograms emit *cumulative* le buckets plus
     // +Inf, _sum and _count; map order keeps the output sorted.
     EXPECT_EQ(reg.snapshotProm(),
-              "# TYPE jitsched_prom_queue_depth gauge\n"
-              "jitsched_prom_queue_depth -2\n"
+              "# TYPE jitsched_prom_in_flight gauge\n"
+              "jitsched_prom_in_flight -2\n"
               "# TYPE jitsched_prom_requests_total counter\n"
               "jitsched_prom_requests_total 3\n"
               "# TYPE jitsched_prom_wait_ns histogram\n"

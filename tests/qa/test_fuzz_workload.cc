@@ -109,7 +109,6 @@ TEST(FuzzWorkload, DropFunctionRemapsCallIds)
 {
     // Build a 3-function workload where function 1 is uncalled, drop
     // it, and check the calls to function 2 now name function 1.
-    Rng rng = Rng::caseStream(15, 3);
     const FuzzDomain domain;
     for (std::uint64_t c = 0; c < 50; ++c) {
         Rng r = Rng::caseStream(15, c);

@@ -154,10 +154,12 @@ TEST_F(PolicyTest, PoliciesAreDeterministic)
         const PolicyOutcome b = run(name, w);
         ASSERT_EQ(a.ok, b.ok);
         EXPECT_EQ(a.lowerBound, b.lowerBound);
-        if (a.hasSim)
+        if (a.hasSim) {
             EXPECT_EQ(a.sim.makespan, b.sim.makespan);
-        if (a.hasSchedule)
+        }
+        if (a.hasSchedule) {
             EXPECT_EQ(a.schedule.events(), b.schedule.events());
+        }
     }
 }
 

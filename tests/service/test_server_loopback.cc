@@ -221,6 +221,38 @@ TEST_F(LoopbackTest, DuplicateRequestsAreAnsweredFromTheCache)
     EXPECT_EQ(second->sim.makespan, first->sim.makespan);
 }
 
+TEST_F(LoopbackTest, SpentDeadlineIsAnsweredDeadlineExceeded)
+{
+    // A deadline already spent at admission is answered without a
+    // solve: DEADLINE_EXCEEDED, attributed to the request's trace.
+    obs::Counter &expired = obs::ServiceMetrics::get().requestsExpired;
+    const std::uint64_t expired_before = expired.value();
+    ServiceRequest req = makeRequest(21, "iar", figure1Workload());
+    req.options.deadlineMs = 0;
+    req.traceId = 0x5eed;
+
+    ServiceClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect("127.0.0.1", server_.port(), &error))
+        << error;
+    const auto raw = client.callRaw(requestText(req), &error);
+    ASSERT_TRUE(raw.has_value()) << error;
+    const ServiceResponse expected = makeErrorResponse(
+        21, errcode::deadlineExceeded,
+        "request waited past its 0 ms deadline");
+    EXPECT_EQ(stripStats(*raw),
+              responseText(expected, /*include_stats=*/false));
+
+    std::istringstream is(*raw);
+    const auto resp = tryReadResponse(is, &error);
+    ASSERT_TRUE(resp.has_value()) << error;
+    EXPECT_EQ(resp->stats.traceId, 0x5eedu);
+    EXPECT_EQ(resp->stats.solveNs, 0);
+#ifndef JITSCHED_OBS_DISABLED
+    EXPECT_EQ(expired.value() - expired_before, 1u);
+#endif
+}
+
 TEST_F(LoopbackTest, EightConcurrentClientsMixedTraffic)
 {
     constexpr std::size_t kClients = 8;
