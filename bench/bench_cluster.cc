@@ -7,9 +7,10 @@
  * Four questions, one table each, all landing in BENCH_cluster.json:
  *
  *   scaling    tail latency of a mixed stream for 1 / 2 / 4 shards
- *   affinity   cluster-wide EvalCache hit rate of fingerprint-affine
- *              routing vs round-robin on the same 2-backend stream —
- *              the number that justifies the consistent-hash ring
+ *   affinity   cluster-wide ResultCache hit rate of fingerprint-affine
+ *              routing vs round-robin on the same 2-backend stream,
+ *              backends cache-enabled — the number that justifies the
+ *              consistent-hash ring
  *   bounce     a backend killed and restarted mid-run: every request
  *              must still be answered (errors stays 0) while the
  *              router ejects, spills, and re-admits
@@ -43,6 +44,9 @@ using Clock = std::chrono::steady_clock;
 constexpr std::size_t kClients = 8;
 constexpr std::size_t kRequestsPerClient = 24;
 
+/** ResultCache budget of each backend in the cache-enabled scenarios. */
+constexpr std::size_t kCacheBytes = std::size_t(64) << 20;
+
 Workload
 makeWorkload(std::uint64_t variant)
 {
@@ -54,11 +58,16 @@ makeWorkload(std::uint64_t variant)
     return generateSynthetic(cfg);
 }
 
-/** Harness knobs tuned so a mid-run bounce resolves in ms. */
+/**
+ * Harness knobs tuned so a mid-run bounce resolves in ms.
+ * @param cacheBytes each backend's ResultCache budget; 0 = off
+ */
 cluster::ClusterHarnessConfig
-clusterConfig(std::size_t backends, cluster::RoutingMode mode)
+clusterConfig(std::size_t backends, cluster::RoutingMode mode,
+              std::size_t cacheBytes = 0)
 {
     cluster::ClusterHarnessConfig cfg;
+    cfg.backend.resultCacheBytes = cacheBytes;
     cfg.backends = backends;
     cfg.router.mode = mode;
     cfg.router.maxTries = 4;
@@ -84,13 +93,16 @@ struct ScenarioResult
     std::uint64_t readmissions = 0;
 };
 
+/** ResultCache hit rate over every backend; 0 when caches are off. */
 double
 clusterHitRate(cluster::ClusterHarness &cluster)
 {
     std::uint64_t hits = 0, misses = 0;
     for (std::size_t b = 0; b < cluster.backendCount(); ++b) {
-        hits += cluster.backendEngine(b).cache().hits();
-        misses += cluster.backendEngine(b).cache().misses();
+        const ResultCache::Counters rc =
+            cluster.backendServer(b).resultCache().counters();
+        hits += rc.hits + rc.collapsed;
+        misses += rc.misses;
     }
     return hits + misses > 0
                ? static_cast<double>(hits) /
@@ -345,11 +357,12 @@ main()
             JITSCHED_FATAL("scaling scenario served errors");
     }
 
-    // --- Affinity vs round-robin, identical 2-backend pair stream.
+    // --- Affinity vs round-robin, identical 2-backend pair stream,
+    // scored by the backends' result caches.
     double affinity_rate = 0.0, rr_rate = 0.0;
     {
-        cluster::ClusterHarness cluster(
-            clusterConfig(2, cluster::RoutingMode::Affinity));
+        cluster::ClusterHarness cluster(clusterConfig(
+            2, cluster::RoutingMode::Affinity, kCacheBytes));
         std::string error;
         if (!cluster.start(&error))
             JITSCHED_FATAL("cluster start: ", error);
@@ -360,8 +373,8 @@ main()
                           "affinity", r);
     }
     {
-        cluster::ClusterHarness cluster(
-            clusterConfig(2, cluster::RoutingMode::RoundRobin));
+        cluster::ClusterHarness cluster(clusterConfig(
+            2, cluster::RoutingMode::RoundRobin, kCacheBytes));
         std::string error;
         if (!cluster.start(&error))
             JITSCHED_FATAL("cluster start: ", error);
@@ -411,10 +424,8 @@ main()
     std::uint64_t rc_hits = 0, rc_misses = 0, rc_collapsed = 0,
                   rc_insertions = 0;
     {
-        cluster::ClusterHarnessConfig cfg =
-            clusterConfig(2, cluster::RoutingMode::Affinity);
-        cfg.backend.resultCacheBytes = std::size_t(64) << 20;
-        cluster::ClusterHarness cluster(cfg);
+        cluster::ClusterHarness cluster(clusterConfig(
+            2, cluster::RoutingMode::Affinity, kCacheBytes));
         std::string error;
         if (!cluster.start(&error))
             JITSCHED_FATAL("cluster start: ", error);

@@ -4,13 +4,12 @@
  * on an ephemeral loopback port, hammered by concurrent clients, with
  * throughput and tail latency (p50/p95/p99) reported per scenario.
  *
- * Three scenarios bracket the service's operating range:
+ * Three scenarios bracket the service's operating range on the
+ * default, cache-off server, where every request pays a full solve:
  *
- *   cold    every request is a distinct workload — each one pays a
- *           full solve (the cache can only miss)
+ *   cold    every request is a distinct workload
  *   warm    every request repeats one already-served workload — the
- *           EvalCache answer path, which is what makes the service
- *           viable for a JIT that re-asks about recurring phases
+ *           repeat a JIT that re-asks about recurring phases sends
  *   mixed   80% repeats / 20% fresh, the expected steady state
  *
  * A fourth phase measures the request-level result cache on a second
@@ -18,7 +17,8 @@
  * astar stream whose responses are split into the miss path (fresh
  * exact solves) and the hit path (serialized-response replay) by the
  * per-request `result-cache` stats marker.  The gap between those two
- * p50s is the cache's reason to exist.
+ * p50s is the cache's reason to exist: it is the daemon's only memo
+ * layer.
  */
 
 #include <chrono>
@@ -65,8 +65,7 @@ struct ScenarioResult
 
 /**
  * @param pick maps (client, request index) to a workload variant;
- *        equal variants are identical requests and can share cache
- *        entries
+ *        equal variants are identical requests
  */
 ScenarioResult
 runScenario(std::uint16_t port, const std::string &policy,
@@ -326,10 +325,7 @@ main()
               << " misses), hit-path p50 speedup " << rc_speedup
               << "x\n";
 
-    const std::uint64_t hits = engine.cache().hits();
-    const std::uint64_t misses = engine.cache().misses();
-    std::cout << "cache: " << hits << " hits / " << misses
-              << " misses  |  service.requests: " << accepted
+    std::cout << "service.requests: " << accepted
               << " accepted, " << processed << " processed, "
               << expired << " expired, " << shed << " shed\n";
 
@@ -358,15 +354,6 @@ main()
         j.endObject();
     }
     j.endArray();
-    j.key("cache").beginObject();
-    j.member("hits", hits);
-    j.member("misses", misses);
-    j.member("hitRate",
-             hits + misses > 0
-                 ? static_cast<double>(hits) /
-                       static_cast<double>(hits + misses)
-                 : 0.0);
-    j.endObject();
     j.key("requests").beginObject();
     j.member("accepted", accepted);
     j.member("processed", processed);

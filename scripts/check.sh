@@ -37,7 +37,10 @@
 #                              # bench/expectations/obs_keys.txt;
 #                              # and check that jitschedd and
 #                              # jitsched-router refuse an
-#                              # out-of-range --port / --handlers
+#                              # out-of-range --port / --handlers /
+#                              # --result-cache-mb (flag or
+#                              # JITSCHED_RESULT_CACHE_MB) /
+#                              # --hedge-ms
 #   scripts/check.sh --fuzz-smoke
 #                              # also run the differential fuzzer:
 #                              # ~20s of jitsched-fuzz solvers, ~10s
@@ -210,26 +213,32 @@ EOF
              "expectation from the awk output above)" >&2
         exit 1
     fi
-    # Out-of-range flags must stop the shipped binaries at startup
-    # with a message naming the flag, not bind a wrapped port or
-    # start more solve slots than the daemon allows.
-    # The router gets a backend so that only --port can stop it.
-    for refused in "jitschedd --port 65536" \
-                   "jitsched-router --port 65536 --backend 127.0.0.1:1" \
-                   "jitschedd --handlers 65"; do
-        read -r bin flag value rest <<< "$refused"
-        rc=0
-        # $rest is unquoted: it holds extra arguments.
-        timeout 5 "./build/bin/$bin" "$flag" "$value" $rest \
-            > "$log.refused" 2>&1 || rc=$?
+    # Out-of-range flags and variables must stop the shipped binaries
+    # at startup with a message naming them, not bind a wrapped port,
+    # start more handlers than allowed, wrap a cache size or a
+    # timeout.  The router gets a backend so only the flag can stop it.
+    # refuse NAME CMD...: CMD must exit non-zero with "fatal: NAME ".
+    refuse() {
+        local name="$1" rc=0
+        shift
+        timeout 5 "$@" > "$log.refused" 2>&1 || rc=$?
         if [ "$rc" -eq 0 ] || [ "$rc" -eq 124 ] ||
-                ! grep -q -- "^fatal: $flag " "$log.refused"; then
-            echo "obs smoke: '$refused' was not refused at startup" \
+                ! grep -q -- "^fatal: $name " "$log.refused"; then
+            echo "obs smoke: '$*' was not refused at startup" \
                  "(exit $rc):" >&2
             cat "$log.refused" >&2
             exit 1
         fi
-    done
+    }
+    daemon=./build/bin/jitschedd router=./build/bin/jitsched-router
+    refuse --port "$daemon" --port 65536
+    refuse --port "$router" --port 65536 --backend 127.0.0.1:1
+    refuse --handlers "$daemon" --handlers 65
+    refuse --result-cache-mb "$daemon" --result-cache-mb 17592186044416
+    refuse JITSCHED_RESULT_CACHE_MB \
+        env JITSCHED_RESULT_CACHE_MB=17592186044416 "$daemon"
+    refuse --handlers "$router" --backend 127.0.0.1:1 --handlers 65
+    refuse --hedge-ms "$router" --backend 127.0.0.1:1 --hedge-ms 4294967295
     cleanup_obs
     trap - EXIT
     echo "obs smoke: trace valid, STATS keys match, bad flags refused"

@@ -20,6 +20,7 @@
 
 #include <signal.h>
 
+#include <climits>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -46,7 +47,8 @@ usage(int rc)
         "                       at least one required)\n"
         "  --address A          bind address (default 127.0.0.1)\n"
         "  --port P             bind port; 0 = ephemeral (default 0)\n"
-        "  --handlers N         connection handler threads (default 4)\n"
+        "  --handlers N         connection handler threads, 1..64\n"
+        "                       (default 4)\n"
         "  --mode M             affinity | round-robin (default affinity)\n"
         "  --tries N            tries per request (default 3)\n"
         "  --try-timeout-ms T   per-try response deadline (default 5000)\n"
@@ -57,15 +59,16 @@ usage(int rc)
     std::exit(rc);
 }
 
-std::int64_t
-intArg(const std::string &flag, const std::string &value,
-       std::int64_t min)
+/** @p value as an integer in [@p min, @p max]; fatal otherwise. */
+int
+intArg(const std::string &flag, const std::string &value, int min,
+       int max = INT_MAX)
 {
     const auto v = parseInt(value);
-    if (!v || *v < min)
-        JITSCHED_FATAL(flag, " needs an integer >= ", min,
+    if (!v || *v < min || *v > max)
+        JITSCHED_FATAL(flag, " must be an integer in ", min, "..", max,
                        ", got '", value, "'");
-    return *v;
+    return static_cast<int>(*v);
 }
 
 BackendEndpoint
@@ -108,13 +111,11 @@ main(int argc, char **argv)
         } else if (arg == "--address") {
             cfg.bindAddress = next();
         } else if (arg == "--port") {
-            const std::int64_t port = intArg(arg, next(), 0);
-            if (port > 65535)
-                JITSCHED_FATAL("--port must be 0..65535, got ", port);
-            cfg.port = static_cast<std::uint16_t>(port);
+            cfg.port =
+                static_cast<std::uint16_t>(intArg(arg, next(), 0, 65535));
         } else if (arg == "--handlers") {
             cfg.handlerThreads = static_cast<std::size_t>(
-                intArg(arg, next(), 1));
+                intArg(arg, next(), 1, kMaxHandlerThreads));
         } else if (arg == "--mode") {
             const std::string m = next();
             if (m == "affinity")
@@ -125,16 +126,11 @@ main(int argc, char **argv)
                 JITSCHED_FATAL("--mode must be affinity or "
                                "round-robin, got '", m, "'");
         } else if (arg == "--tries") {
-            cfg.maxTries =
-                static_cast<int>(intArg(arg, next(), 1));
+            cfg.maxTries = intArg(arg, next(), 1);
         } else if (arg == "--try-timeout-ms") {
-            cfg.tryTimeoutMs =
-                static_cast<int>(intArg(arg, next(), 1));
+            cfg.tryTimeoutMs = intArg(arg, next(), 1);
         } else if (arg == "--hedge-ms") {
-            const auto v = parseInt(next());
-            if (!v)
-                JITSCHED_FATAL("--hedge-ms needs an integer");
-            cfg.hedgeDelayMs = static_cast<int>(*v);
+            cfg.hedgeDelayMs = intArg(arg, next(), INT_MIN);
         } else if (arg == "--trace-out") {
             trace_out = next();
         } else {

@@ -9,7 +9,7 @@
  * DESIGN.md Sec. 5e and Hassidim et al., arXiv:1210.4053):
  *
  *  - stability: removing a backend remaps only the keys it owned —
- *    every other backend's EvalCache working set stays put;
+ *    every other backend's ResultCache working set stays put;
  *  - spill order: walking the ring past the owner yields a
  *    deterministic per-key failover sequence, so when the owner is
  *    down or saturated the *same* second-choice backend sees a given

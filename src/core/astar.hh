@@ -50,8 +50,9 @@ struct AStarConfig
     std::uint64_t maxExpansions = 0;
 
     /**
-     * Ignored.  Kept so callers that still set it compile; the
-     * search evaluates every child on its own worker thread.
+     * Ignored.  Kept because perfbench, which must build unchanged,
+     * still sets it; the search evaluates every child on its own
+     * worker thread.
      */
     ThreadPool *pool = nullptr;
 

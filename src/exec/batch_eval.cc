@@ -79,8 +79,7 @@ BatchEvaluator::evaluate(const std::vector<EvalJob> &jobs)
                           hashSimOptions(job.opts)};
 
         if (cache_ != nullptr) {
-            if (const auto cached = cache_->lookup(keys[i],
-                                                   counters_)) {
+            if (const auto cached = cache_->lookup(keys[i])) {
                 results[i] = *cached;
                 continue;
             }
@@ -126,7 +125,7 @@ BatchEvaluator::evaluateOne(const Workload &w, const Schedule &s,
     JITSCHED_OBS(obs::ExecMetrics::get().batchJobs.add());
     if (cache_ != nullptr) {
         const EvalKey key = makeEvalKey(w, s, opts);
-        if (const auto cached = cache_->lookup(key, counters_))
+        if (const auto cached = cache_->lookup(key))
             return *cached;
         const SimResult result = timedSimulate(w, s, opts);
         cache_->insert(key, result);

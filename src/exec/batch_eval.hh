@@ -54,14 +54,10 @@ class BatchEvaluator
      * @param pool executor; must outlive the evaluator
      * @param cache memo table, or nullptr to evaluate everything;
      *              must outlive the evaluator when given
-     * @param counters per-caller hit/miss tally fed on every cache
-     *              probe (the service's per-request stats); may be
-     *              nullptr
      */
     explicit BatchEvaluator(ThreadPool &pool,
-                            EvalCache *cache = nullptr,
-                            EvalCounters *counters = nullptr)
-        : pool_(pool), cache_(cache), counters_(counters)
+                            EvalCache *cache = nullptr)
+        : pool_(pool), cache_(cache)
     {
     }
 
@@ -82,14 +78,14 @@ class BatchEvaluator
 
     /**
      * Process-wide evaluator over ThreadPool::global() and a shared
-     * cache; what the benches use.
+     * cache; what the benches and figure sweeps use.  Never serve
+     * untrusted requests through it (see eval_cache.hh).
      */
     static BatchEvaluator &global();
 
   private:
     ThreadPool &pool_;
     EvalCache *cache_;
-    EvalCounters *counters_;
 };
 
 } // namespace jitsched

@@ -1,6 +1,5 @@
 #include "exec/eval_cache.hh"
 
-#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -117,13 +116,6 @@ makeEvalKey(const Workload &w, const Schedule &s,
                    hashSimOptions(opts)};
 }
 
-EvalCache::EvalCache(std::size_t maxEntries)
-    : shard_cap_(maxEntries == 0
-                     ? 0
-                     : std::max<std::size_t>(1, maxEntries / kNumShards))
-{
-}
-
 std::size_t
 EvalCache::KeyHash::operator()(const EvalKey &k) const
 {
@@ -144,21 +136,17 @@ EvalCache::shardFor(const EvalKey &key) const
 }
 
 std::optional<SimResult>
-EvalCache::lookup(const EvalKey &key, EvalCounters *counters)
+EvalCache::lookup(const EvalKey &key)
 {
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lk(shard.mutex);
     const auto it = shard.map.find(key);
     if (it == shard.map.end()) {
         misses_.fetch_add(1, std::memory_order_relaxed);
-        if (counters != nullptr)
-            counters->misses.fetch_add(1, std::memory_order_relaxed);
         JITSCHED_OBS(obs::ExecMetrics::get().cacheMisses.add());
         return std::nullopt;
     }
     hits_.fetch_add(1, std::memory_order_relaxed);
-    if (counters != nullptr)
-        counters->hits.fetch_add(1, std::memory_order_relaxed);
     JITSCHED_OBS(obs::ExecMetrics::get().cacheHits.add());
     return it->second;
 }
@@ -168,9 +156,6 @@ EvalCache::insert(const EvalKey &key, const SimResult &result)
 {
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lk(shard.mutex);
-    if (shard_cap_ != 0 && shard.map.size() >= shard_cap_ &&
-        !shard.map.contains(key))
-        shard.map.clear();
     shard.map[key] = result;
 }
 

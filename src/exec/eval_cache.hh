@@ -8,17 +8,17 @@
  * simulate() calls.  Entries are keyed on content fingerprints — a
  * hash of the trace and profile table, a hash of the compile events,
  * and a hash of the simulation knobs — so two structurally identical
- * workloads share entries regardless of object identity.
+ * workloads share entries regardless of object identity.  The keys
+ * are fingerprints with no full compare behind them, so a cache must
+ * never be shared across untrusted requests: a crafted workload can
+ * collide with another and be answered with its make-span.
  *
  * The map is sharded by key hash, each shard behind its own mutex, so
  * concurrent probes from a thread-pool batch do not serialize on one
  * lock.  Hit/miss counters are atomics; for the deterministic counts
  * the property tests rely on, BatchEvaluator probes sequentially and
- * only the simulations themselves run in parallel.
- *
- * A cache may be given an entry cap: a full shard is cleared
- * wholesale before its next new entry, which bounds a long-running
- * daemon's memory at the cost of re-simulating what was dropped.
+ * only the simulations themselves run in parallel.  The table is
+ * unbounded: it is meant for one process's own sweeps.
  */
 
 #ifndef JITSCHED_EXEC_EVAL_CACHE_HH
@@ -60,43 +60,21 @@ EvalKey makeEvalKey(const Workload &w, const Schedule &s,
                     const SimOptions &opts);
 
 /**
- * Caller-owned hit/miss tally, filled alongside the cache's own
- * process-global counters.  The service engine hands one per request
- * to its evaluator so a response's `stats cache-hits/-misses` counts
- * that request's probes alone — before/after deltas of the global
- * counters misattribute concurrent requests' probes to each other.
- * Atomics: probes are sequential per evaluate() call, but nothing
- * stops two evaluators sharing a tally.
- */
-struct EvalCounters
-{
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-};
-
-/**
  * Sharded, thread-safe memo table from EvalKey to SimResult.
  */
 class EvalCache
 {
   public:
-    /**
-     * @param maxEntries cap on stored entries; 0 means unbounded.
-     *        Split evenly over the shards (at least one entry each),
-     *        so a cap below the 16 shards holds up to 16 entries.
-     */
-    explicit EvalCache(std::size_t maxEntries = 0);
+    EvalCache() = default;
 
     EvalCache(const EvalCache &) = delete;
     EvalCache &operator=(const EvalCache &) = delete;
 
     /**
-     * Look up a key.  Counts one hit or one miss — into the global
-     * counters and, when given, into @p counters.
+     * Look up a key.  Counts one hit or one miss.
      * @return the cached result, or nullopt on miss.
      */
-    std::optional<SimResult> lookup(const EvalKey &key,
-                                    EvalCounters *counters = nullptr);
+    std::optional<SimResult> lookup(const EvalKey &key);
 
     /** Insert (or overwrite) the result for a key. */
     void insert(const EvalKey &key, const SimResult &result);
@@ -136,8 +114,6 @@ class EvalCache
     Shard &shardFor(const EvalKey &key);
     const Shard &shardFor(const EvalKey &key) const;
 
-    /** Entries a shard holds before it is cleared; 0: unbounded. */
-    const std::size_t shard_cap_;
     Shard shards_[kNumShards];
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};

@@ -7,9 +7,8 @@
  * (jitsched-cli or the router) and propagated over the wire as the
  * optional `option trace-id <hex>` request line.  It is deliberately
  * fingerprint-neutral: requestFingerprint() never sees it, so the
- * EvalCache, the result cache and consistent-hash affinity behave
- * identically whether or not a request is traced (DESIGN.md
- * Sec. 5g).
+ * result cache and consistent-hash affinity behave identically
+ * whether or not a request is traced (DESIGN.md Sec. 5g).
  *
  * A span is one named interval attributed to a trace:
  *

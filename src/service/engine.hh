@@ -5,25 +5,22 @@
  * The engine is the library-call form of the service — the daemon's
  * connection handlers call it concurrently, each solving the request
  * it parsed, the CLI can call it in-process, and the loopback tests
- * compare daemon responses byte-for-byte against it.  It owns the
- * EvalCache that makes duplicate requests cheap and routes every
- * static-schedule evaluation through a BatchEvaluator on the global
- * thread pool.
+ * compare daemon responses byte-for-byte against it.  Every policy
+ * evaluation runs simulate() through a BatchEvaluator on the global
+ * thread pool with no EvalCache: the cache's keys are fingerprints
+ * with no full compare, so sharing one across clients would let a
+ * crafted workload be answered with another's make-span.  Repeats are
+ * the job of the server's ResultCache, which compares the full key.
  *
- * serve() is safe for overlapping calls.  It builds a per-request
- * BatchEvaluator (pool + shared cache + that request's own
- * EvalCounters tally), so the response's cache-hits/-misses stats
- * count exactly that request's probes even when serves overlap —
- * before/after deltas of the shared cache's global counters would
- * misattribute concurrent requests' probes to each other.  The
- * cache is capped at kEvalCacheEntries so a daemon serving distinct
- * workloads for days does not grow without bound.
+ * serve() is safe for overlapping calls; the evaluator holds no
+ * per-request state.  The response's cache-hits/-misses stats are
+ * always 0.
  */
 
 #ifndef JITSCHED_SERVICE_ENGINE_HH
 #define JITSCHED_SERVICE_ENGINE_HH
 
-#include "exec/eval_cache.hh"
+#include "exec/batch_eval.hh"
 #include "exec/thread_pool.hh"
 #include "service/policy.hh"
 #include "service/protocol.hh"
@@ -33,17 +30,11 @@ namespace jitsched {
 class ServiceEngine
 {
   public:
-    /** Entry cap of the engine's EvalCache. */
-    static constexpr std::size_t kEvalCacheEntries = 4096;
-
     /**
      * Starts ThreadPool::global() now, so a bad JITSCHED_THREADS
      * fails at startup rather than at the first request.
      */
-    ServiceEngine()
-        : pool_(ThreadPool::global()), cache_(kEvalCacheEntries)
-    {
-    }
+    ServiceEngine() : evaluator_(ThreadPool::global()) {}
 
     ServiceEngine(const ServiceEngine &) = delete;
     ServiceEngine &operator=(const ServiceEngine &) = delete;
@@ -61,11 +52,9 @@ class ServiceEngine
     {
         return PolicyRegistry::builtin();
     }
-    EvalCache &cache() { return cache_; }
 
   private:
-    ThreadPool &pool_;
-    EvalCache cache_;
+    BatchEvaluator evaluator_;
 };
 
 } // namespace jitsched

@@ -40,6 +40,13 @@
 
 namespace jitsched {
 
+/**
+ * Most handlers jitschedd and jitsched-router accept.  A daemon
+ * handler solves the requests it reads, so this caps the solves
+ * running at once.
+ */
+inline constexpr std::size_t kMaxHandlerThreads = 64;
+
 /** Knobs of the front end; the owner copies them from its config. */
 struct FrameServerConfig
 {

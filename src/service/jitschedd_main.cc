@@ -15,6 +15,7 @@
 
 #include <signal.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -29,12 +30,6 @@
 using namespace jitsched;
 
 namespace {
-
-/**
- * Most --handlers accepted.  Each handler solves the requests it
- * reads, so this caps the solves running at once.
- */
-constexpr std::uint64_t kMaxHandlers = 64;
 
 [[noreturn]] void
 usage(int rc)
@@ -69,6 +64,16 @@ intArg(const std::string &flag, const std::string &value)
     return static_cast<std::uint64_t>(*v);
 }
 
+/** @p mb MiB in bytes; fatal, naming @p what, if that overflows. */
+std::size_t
+mibToBytes(const char *what, std::uint64_t mb)
+{
+    if (mb > (SIZE_MAX >> 20))
+        JITSCHED_FATAL(what, " must be at most ", SIZE_MAX >> 20,
+                       " (MiB), got ", mb);
+    return static_cast<std::size_t>(mb) << 20;
+}
+
 } // anonymous namespace
 
 int
@@ -76,9 +81,9 @@ main(int argc, char **argv)
 {
     ServerConfig cfg;
     // Env defaults first; flags below override.
-    cfg.resultCacheBytes =
-        parseResultCacheMbEnv(std::getenv("JITSCHED_RESULT_CACHE_MB"))
-        << 20;
+    cfg.resultCacheBytes = mibToBytes(
+        "JITSCHED_RESULT_CACHE_MB",
+        parseResultCacheMbEnv(std::getenv("JITSCHED_RESULT_CACHE_MB")));
     if (const char *snap =
             std::getenv("JITSCHED_RESULT_CACHE_SNAPSHOT"))
         cfg.snapshotPath = snap;
@@ -101,13 +106,13 @@ main(int argc, char **argv)
             cfg.port = static_cast<std::uint16_t>(port);
         } else if (arg == "--handlers") {
             const std::uint64_t handlers = intArg(arg, next());
-            if (handlers == 0 || handlers > kMaxHandlers)
-                JITSCHED_FATAL("--handlers must be 1..", kMaxHandlers,
-                               ", got ", handlers);
+            if (handlers == 0 || handlers > kMaxHandlerThreads)
+                JITSCHED_FATAL("--handlers must be 1..",
+                               kMaxHandlerThreads, ", got ", handlers);
             cfg.handlerThreads = static_cast<std::size_t>(handlers);
         } else if (arg == "--result-cache-mb") {
             cfg.resultCacheBytes =
-                static_cast<std::size_t>(intArg(arg, next())) << 20;
+                mibToBytes("--result-cache-mb", intArg(arg, next()));
         } else if (arg == "--snapshot-file") {
             cfg.snapshotPath = next();
         } else if (arg == "--trace-out") {

@@ -137,9 +137,9 @@ class SchedulerPolicy
      * Run the policy.
      * @param w the workload (validated by the protocol layer)
      * @param opts per-request options
-     * @param eval shared evaluator; static-schedule policies route
-     *        their simulate() through it so identical requests hit
-     *        the cache
+     * @param eval shared evaluator; policies that evaluate a schedule
+     *        route their simulate() through it, so an evaluator
+     *        with an EvalCache memoizes repeats
      */
     virtual PolicyOutcome run(const Workload &w,
                               const ServiceOptions &opts,

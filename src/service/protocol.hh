@@ -54,11 +54,13 @@
  * the only volatile part for every other policy (cache behaviour,
  * queueing, wall time, and the echoed trace id when the request
  * carried one), so clients comparing results strip exactly that
- * line.  `result-cache` appears only when the response came out of
- * the request-level result cache (1 = served from the store, 2 =
- * collapsed onto a concurrent identical solve); a cache-off daemon
- * never emits the token, so its frames are byte-identical to
- * pre-cache builds.
+ * line.  `cache-hits` and `cache-misses` stay in the grammar, but
+ * jitschedd always writes 0 in both: the daemon no longer keeps the
+ * per-evaluation memo table they counted.  `result-cache` appears
+ * only when the response came out of the request-level result cache
+ * (1 = served from the store, 2 = collapsed onto a concurrent
+ * identical solve); a cache-off daemon never emits the token, so its
+ * frames are byte-identical to pre-cache builds.
  *
  * Besides scheduling requests, a connection can scrape the daemon's
  * metrics registry (obs/metrics.hh) with a STATS frame:
@@ -184,7 +186,7 @@ struct ServiceRequest
      * optional `option trace-id <hex>` line, lives outside
      * ServiceOptions on purpose: requestFingerprint() and
      * ServiceOptions::operator== must never see it (tracing a
-     * request must not split the EvalCache or move it to another
+     * request must not split the result cache or move it to another
      * backend).
      */
     std::uint64_t traceId = 0;
@@ -205,8 +207,8 @@ inline constexpr const char *unavailable = "UNAVAILABLE";
 /** Volatile per-request serving statistics (the `stats` line). */
 struct ServiceStats
 {
-    std::uint64_t cacheHits = 0;   ///< EvalCache hits this request
-    std::uint64_t cacheMisses = 0; ///< EvalCache misses this request
+    std::uint64_t cacheHits = 0;   ///< always 0 from jitschedd
+    std::uint64_t cacheMisses = 0; ///< always 0 from jitschedd
     std::int64_t queueNs = 0;      ///< admission -> answer, minus solve
     std::int64_t solveNs = 0;      ///< processing wall time
 

@@ -12,6 +12,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -199,10 +200,10 @@ TEST(RouterLoopback, MalformedFrameGetsTheDaemonsErrorBytes)
 
 TEST(RouterLoopback, AffinityKeepsRepeatsOnTheCachedBackend)
 {
-    // Send distinct requests once to warm each owner's EvalCache,
-    // then resend them all.  Affinity must land every repeat on the
-    // backend that already holds its evaluations, so the cluster-wide
-    // hit count has to climb by at least one per repeat.
+    // Send distinct requests once, then resend them all.  Affinity
+    // must land every copy of a request on its ring owner, so each
+    // call adds one frame to the owner's count and none to the other
+    // backend's (healthy backends are never probed).
     ClusterHarness cluster(fastCluster(2));
     std::string error;
     ASSERT_TRUE(cluster.start(&error)) << error;
@@ -219,26 +220,32 @@ TEST(RouterLoopback, AffinityKeepsRepeatsOnTheCachedBackend)
         req.options.compileCores = cores;
         requests.push_back(req);
     }
-
-    auto clusterHits = [&cluster] {
-        std::uint64_t hits = 0;
-        for (std::size_t b = 0; b < cluster.backendCount(); ++b)
-            hits += cluster.backendEngine(b).cache().hits();
-        return hits;
-    };
-
+    std::vector<bool> owns(cluster.backendCount(), false);
     for (const ServiceRequest &req : requests)
-        ASSERT_TRUE(
-            client.callRaw(requestText(req), &error).has_value())
-            << error;
-    const std::uint64_t warm = clusterHits();
+        owns[cluster.router().ring().ownerOf(requestFingerprint(req))] =
+            true;
+    ASSERT_EQ(std::count(owns.begin(), owns.end(), true), 2)
+        << "the requests should be spread over both backends";
 
-    for (const ServiceRequest &req : requests)
-        ASSERT_TRUE(
-            client.callRaw(requestText(req), &error).has_value())
-            << error;
-    EXPECT_GE(clusterHits() - warm, requests.size())
-        << "repeats were not routed back to their owners";
+    for (int pass = 0; pass < 2; ++pass) {
+        for (const ServiceRequest &req : requests) {
+            std::vector<std::uint64_t> before;
+            for (std::size_t b = 0; b < cluster.backendCount(); ++b)
+                before.push_back(
+                    cluster.backendServer(b).framesServed());
+            ASSERT_TRUE(
+                client.callRaw(requestText(req), &error).has_value())
+                << error;
+            const std::size_t owner =
+                cluster.router().ring().ownerOf(requestFingerprint(req));
+            for (std::size_t b = 0; b < cluster.backendCount(); ++b)
+                EXPECT_EQ(cluster.backendServer(b).framesServed() -
+                              before[b],
+                          b == owner ? 1u : 0u)
+                    << "pass " << pass << ", compile-cores "
+                    << req.options.compileCores << ", backend " << b;
+        }
+    }
 }
 
 TEST(RouterLoopback, FailoverThenReadmissionAcrossABackendBounce)
@@ -297,14 +304,14 @@ TEST(RouterLoopback, FailoverThenReadmissionAcrossABackendBounce)
         << "owner not re-admitted within 5s of restart";
     EXPECT_GE(cluster.router().pool().readmissions(owner), 1u);
 
-    // And traffic flows back to it: the owner's cache starts hitting
-    // again once repeats are routed home.
-    const std::uint64_t owner_hits_before =
-        cluster.backendEngine(owner).cache().hits();
+    // And traffic flows back to it: the owner serves its key again.
+    const std::uint64_t owner_frames_before =
+        cluster.backendServer(owner).framesServed();
     for (int shot = 0; shot < 3; ++shot)
         roundTrip(id++);
-    EXPECT_GT(cluster.backendEngine(owner).cache().hits(),
-              owner_hits_before)
+    EXPECT_GE(cluster.backendServer(owner).framesServed() -
+                  owner_frames_before,
+              3u)
         << "re-admitted owner is not seeing its keys again";
 }
 

@@ -110,24 +110,5 @@ TEST(EvalCache, ClearResetsEntriesAndCounters)
     EXPECT_FALSE(cache.lookup(EvalKey{1, 1, 1}).has_value());
 }
 
-TEST(EvalCache, CappedCacheStaysWithinItsCap)
-{
-    EvalCache cache(64);
-    for (std::uint64_t i = 0; i < 1000; ++i) {
-        SimResult r;
-        r.makespan = static_cast<Tick>(i);
-        cache.insert(EvalKey{i, i * 31, i * 131}, r);
-        ASSERT_LE(cache.size(), 64u);
-    }
-    // The newest entry always survives its own insert, with its value.
-    const auto last = cache.lookup(EvalKey{999, 999 * 31, 999 * 131});
-    ASSERT_TRUE(last.has_value());
-    EXPECT_EQ(last->makespan, 999);
-    // Overwriting a present key in a full shard keeps the shard.
-    const std::size_t before = cache.size();
-    cache.insert(EvalKey{999, 999 * 31, 999 * 131}, SimResult{});
-    EXPECT_EQ(cache.size(), before);
-}
-
 } // anonymous namespace
 } // namespace jitsched
