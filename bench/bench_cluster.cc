@@ -101,7 +101,7 @@ clusterHitRate(cluster::ClusterHarness &cluster)
     for (std::size_t b = 0; b < cluster.backendCount(); ++b) {
         const ResultCache::Counters rc =
             cluster.backendServer(b).resultCache().counters();
-        hits += rc.hits + rc.collapsed;
+        hits += rc.hits;
         misses += rc.misses;
     }
     return hits + misses > 0
@@ -193,7 +193,6 @@ struct ResultCachePhase
 {
     std::vector<double> missMs; ///< fresh solves (result-cache absent)
     std::vector<double> hitMs;  ///< store hits (result-cache 1)
-    std::uint64_t collapsed = 0; ///< singleflight followers (2)
     std::uint64_t errors = 0;
     double elapsedSec = 0.0;
 };
@@ -215,7 +214,7 @@ runResultCachePhase(cluster::ClusterHarness &cluster)
                                 &error))
                 JITSCHED_FATAL("connect: ", error);
             std::vector<double> miss, hit;
-            std::uint64_t collapsed = 0, errors = 0;
+            std::uint64_t errors = 0;
             for (std::size_t i = 0; i < kRequestsPerClient; ++i) {
                 ServiceRequest req;
                 req.id = 20'000 + c * kRequestsPerClient + i;
@@ -240,8 +239,6 @@ runResultCachePhase(cluster::ClusterHarness &cluster)
                     ++errors;
                 else if (resp->stats.resultCache == 1)
                     hit.push_back(ms);
-                else if (resp->stats.resultCache == 2)
-                    ++collapsed;
                 else
                     miss.push_back(ms);
             }
@@ -250,7 +247,6 @@ runResultCachePhase(cluster::ClusterHarness &cluster)
                                 miss.end());
             phase.hitMs.insert(phase.hitMs.end(), hit.begin(),
                                hit.end());
-            phase.collapsed += collapsed;
             phase.errors += errors;
         });
     }
@@ -421,8 +417,7 @@ main()
     // --- Result cache: a repeated astar stream against two
     // cache-enabled backends behind affinity routing.
     ResultCachePhase cache_phase;
-    std::uint64_t rc_hits = 0, rc_misses = 0, rc_collapsed = 0,
-                  rc_insertions = 0;
+    std::uint64_t rc_hits = 0, rc_misses = 0, rc_insertions = 0;
     {
         cluster::ClusterHarness cluster(clusterConfig(
             2, cluster::RoutingMode::Affinity, kCacheBytes));
@@ -438,7 +433,6 @@ main()
                 cluster.backendServer(b).resultCache().counters();
             rc_hits += rc.hits;
             rc_misses += rc.misses;
-            rc_collapsed += rc.collapsed;
             rc_insertions += rc.insertions;
         }
     }
@@ -450,12 +444,10 @@ main()
     rows.push_back(rc_miss_row);
     rows.push_back(rc_hit_row);
     const std::uint64_t rc_served = cache_phase.missMs.size() +
-                                    cache_phase.hitMs.size() +
-                                    cache_phase.collapsed;
+                                    cache_phase.hitMs.size();
     const double rc_hit_rate =
         rc_served > 0
-            ? static_cast<double>(cache_phase.hitMs.size() +
-                                  cache_phase.collapsed) /
+            ? static_cast<double>(cache_phase.hitMs.size()) /
                   static_cast<double>(rc_served)
             : 0.0;
     const double rc_speedup =
@@ -478,7 +470,6 @@ main()
     j.member("speedupP50", rc_speedup);
     j.member("hits", rc_hits);
     j.member("misses", rc_misses);
-    j.member("collapsed", rc_collapsed);
     j.member("insertions", rc_insertions);
     j.endObject();
 
@@ -493,7 +484,6 @@ main()
     printLatencyTable("cluster latency through the router", rows);
     std::cout << "result cache: hit rate " << rc_hit_rate << " ("
               << cache_phase.hitMs.size() << " hits, "
-              << cache_phase.collapsed << " collapsed, "
               << cache_phase.missMs.size()
               << " misses), hit-path p50 speedup " << rc_speedup
               << "x\n";

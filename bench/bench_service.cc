@@ -138,7 +138,6 @@ struct ResultCachePhase
 {
     std::vector<double> missMs; ///< fresh solves (result-cache absent)
     std::vector<double> hitMs;  ///< store hits (result-cache 1)
-    std::uint64_t collapsed = 0; ///< singleflight followers (2)
     std::uint64_t errors = 0;
     double elapsedSec = 0.0;
 };
@@ -159,7 +158,7 @@ runResultCachePhase(std::uint16_t port)
             if (!client.connect("127.0.0.1", port, &error))
                 JITSCHED_FATAL("connect: ", error);
             std::vector<double> miss, hit;
-            std::uint64_t collapsed = 0, errors = 0;
+            std::uint64_t errors = 0;
             for (std::size_t i = 0; i < kRequestsPerClient; ++i) {
                 ServiceRequest req;
                 req.id = 10'000 + c * kRequestsPerClient + i;
@@ -184,8 +183,6 @@ runResultCachePhase(std::uint16_t port)
                     ++errors;
                 else if (resp->stats.resultCache == 1)
                     hit.push_back(ms);
-                else if (resp->stats.resultCache == 2)
-                    ++collapsed;
                 else
                     miss.push_back(ms);
             }
@@ -194,7 +191,6 @@ runResultCachePhase(std::uint16_t port)
                                 miss.end());
             phase.hitMs.insert(phase.hitMs.end(), hit.begin(),
                                hit.end());
-            phase.collapsed += collapsed;
             phase.errors += errors;
         });
     }
@@ -306,12 +302,10 @@ main()
 
     const auto &rc = cache_server.resultCache().counters();
     const std::uint64_t rc_served = cache_phase.missMs.size() +
-                                    cache_phase.hitMs.size() +
-                                    cache_phase.collapsed;
+                                    cache_phase.hitMs.size();
     const double rc_hit_rate =
         rc_served > 0
-            ? static_cast<double>(cache_phase.hitMs.size() +
-                                  cache_phase.collapsed) /
+            ? static_cast<double>(cache_phase.hitMs.size()) /
                   static_cast<double>(rc_served)
             : 0.0;
     const double rc_speedup =
@@ -320,7 +314,6 @@ main()
             : 0.0;
     std::cout << "result cache: hit rate " << rc_hit_rate << " ("
               << cache_phase.hitMs.size() << " hits, "
-              << cache_phase.collapsed << " collapsed, "
               << cache_phase.missMs.size()
               << " misses), hit-path p50 speedup " << rc_speedup
               << "x\n";
@@ -373,7 +366,6 @@ main()
     j.member("speedupP50", rc_speedup);
     j.member("hits", rc.hits);
     j.member("misses", rc.misses);
-    j.member("collapsed", rc.collapsed);
     j.member("insertions", rc.insertions);
     j.member("evictions", rc.evictions);
     j.endObject();

@@ -40,7 +40,9 @@
 #                              # out-of-range --port / --handlers /
 #                              # --result-cache-mb (flag or
 #                              # JITSCHED_RESULT_CACHE_MB) /
-#                              # --hedge-ms
+#                              # --hedge-ms, and a snapshot file
+#                              # (flag or variable) with the result
+#                              # cache off
 #   scripts/check.sh --fuzz-smoke
 #                              # also run the differential fuzzer:
 #                              # ~20s of jitsched-fuzz solvers, ~10s
@@ -237,6 +239,10 @@ EOF
     refuse --result-cache-mb "$daemon" --result-cache-mb 17592186044416
     refuse JITSCHED_RESULT_CACHE_MB \
         env JITSCHED_RESULT_CACHE_MB=17592186044416 "$daemon"
+    refuse --snapshot-file env -u JITSCHED_RESULT_CACHE_MB \
+        "$daemon" --snapshot-file "$log.snap"
+    refuse JITSCHED_RESULT_CACHE_SNAPSHOT env -u JITSCHED_RESULT_CACHE_MB \
+        JITSCHED_RESULT_CACHE_SNAPSHOT="$log.snap" "$daemon"
     refuse --handlers "$router" --backend 127.0.0.1:1 --handlers 65
     refuse --hedge-ms "$router" --backend 127.0.0.1:1 --hedge-ms 4294967295
     cleanup_obs
@@ -563,15 +569,14 @@ EOF
     fi
 
     # Concurrent burst on a fresh key (a policy the cache has not
-    # seen): exactly one request leads the solve; every other one
-    # must be served by the cache — collapsed onto the in-flight
-    # solve or answered from the store once it lands — so exactly 7
-    # of the 8 responses carry a result-cache marker, independent of
-    # timing.
+    # seen): however the eight race, they must agree byte for byte
+    # (--no-stats; the header line carries each one's own id), and
+    # once they are answered the key is stored, so a 9th request is
+    # a store hit.
     burst_pids=()
     for i in 1 2 3 4 5 6 7 8; do
         ./build/bin/jitsched-cli --port "$port" \
-            --policy lower-bound --id "$((100 + i))" \
+            --policy lower-bound --id "$((100 + i))" --no-stats \
             --timeout-ms 10000 "$rc_dir/workload" \
             > "$rc_dir/burst.$i.out" &
         burst_pids+=($!)
@@ -579,12 +584,22 @@ EOF
     for pid in "${burst_pids[@]}"; do
         wait "$pid"
     done
-    burst_served="$(cat "$rc_dir"/burst.*.out \
-        | grep -c " result-cache " || true)"
-    if [ "$burst_served" -ne 7 ]; then
-        echo "result-cache smoke: expected 7 of 8 burst responses" \
-             "served by the cache, got $burst_served" >&2
-        cat "$rc_dir"/burst.*.out >&2
+    tail -n +2 "$rc_dir/burst.1.out" > "$rc_dir/burst.body"
+    for i in 2 3 4 5 6 7 8; do
+        if ! tail -n +2 "$rc_dir/burst.$i.out" \
+                | diff -u "$rc_dir/burst.body" -; then
+            echo "result-cache smoke: burst response $i diverged" \
+                 "from burst response 1" >&2
+            exit 1
+        fi
+    done
+    ./build/bin/jitsched-cli --port "$port" --policy lower-bound \
+        --id 109 --timeout-ms 10000 "$rc_dir/workload" \
+        > "$rc_dir/burst.9.out"
+    if ! grep -q " result-cache 1" "$rc_dir/burst.9.out"; then
+        echo "result-cache smoke: the request after the burst was" \
+             "not a store hit" >&2
+        cat "$rc_dir/burst.9.out" >&2
         exit 1
     fi
 

@@ -2,24 +2,11 @@
 
 #include <algorithm>
 
+#include "support/hash.hh"
 #include "support/logging.hh"
 
 namespace jitsched {
 namespace cluster {
-
-namespace {
-
-/** splitmix64 finalizer — the repo's standard bit mixer. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-} // anonymous namespace
 
 HashRing::HashRing(std::size_t backends, std::size_t vnodes)
     : backends_(backends)

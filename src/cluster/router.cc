@@ -23,11 +23,10 @@ using SteadyClock = std::chrono::steady_clock;
 
 /**
  * True when a relayed response frame's stats line says the backend
- * answered from its result cache (store hit or singleflight
- * collapse).  The marker token is emitted only when nonzero, so its
- * mere presence on the stats line is the signal; the scan is pinned
- * to the line starting with `stats ` because error lines may carry
- * arbitrary message text.
+ * answered from its result cache's store.  The marker token is
+ * emitted only when nonzero, so its mere presence on the stats line
+ * is the signal; the scan is pinned to the line starting with
+ * `stats ` because error lines may carry arbitrary message text.
  */
 [[maybe_unused]] bool
 frameServedFromCache(const std::string &frame)

@@ -4,20 +4,11 @@
 #include <cstring>
 
 #include "obs/instruments.hh"
+#include "support/hash.hh"
 
 namespace jitsched {
 
 namespace {
-
-/** SplitMix64 finalizer: the avalanche step used throughout. */
-constexpr std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 /** Running hash accumulator (order-sensitive). */
 struct Hasher

@@ -48,7 +48,7 @@ struct FlightRecord
     std::int64_t solveNs = 0;
     std::uint64_t bytes = 0;   ///< response frame size
     std::uint32_t hops = 0;    ///< route attempts consumed; 0 direct
-    /** Answered by the result cache (hit or singleflight collapse). */
+    /** Answered from the result cache's store. */
     bool cached = false;
 };
 

@@ -70,7 +70,6 @@ ServiceMetrics::get()
         r.histogram("service.queue.wait_ns", latencyNsBounds()),
         r.counter("service.result_cache.hits"),
         r.counter("service.result_cache.misses"),
-        r.counter("service.result_cache.collapsed"),
         r.counter("service.result_cache.evictions"),
         r.gauge("service.result_cache.bytes"),
         r.gauge("service.result_cache.entries"),

@@ -99,8 +99,6 @@ struct ServiceMetrics
     // Request-level result cache (service/result_cache.hh).
     Counter &resultCacheHits;      ///< service.result_cache.hits
     Counter &resultCacheMisses;    ///< service.result_cache.misses
-    /** service.result_cache.collapsed (followers fed by a leader) */
-    Counter &resultCacheCollapsed;
     Counter &resultCacheEvictions; ///< service.result_cache.evictions
     Gauge &resultCacheBytes;       ///< service.result_cache.bytes
     Gauge &resultCacheEntries;     ///< service.result_cache.entries

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include "obs/trace_event.hh"
+#include "support/hash.hh"
 
 namespace jitsched {
 namespace obs {
@@ -14,16 +15,6 @@ namespace obs {
 namespace {
 
 std::atomic<bool> spansEnabled{true};
-
-/** splitmix64 finalizer — well-mixed 64-bit ids from weak seeds. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
 
 int
 hexDigit(char c)

@@ -86,7 +86,7 @@ ResultCacheFuzzer::runCase(Rng &rng, const FuzzDomain &domain,
     // Keep the exact search cheap on fuzz instances.
     req.options.astarMaxExpansions = 50'000;
 
-    // Fresh solve #1: the body the leader would publish.
+    // Fresh solve #1: the body the server would store.
     const ServiceResponse resp1 = engine_.serve(req);
     if (!resp1.ok) {
         // Nothing is stored for error answers; the case is vacuous.
@@ -98,17 +98,9 @@ ResultCacheFuzzer::runCase(Rng &rng, const FuzzDomain &domain,
     if (break_oracle && !body.empty())
         body[body.size() / 2] ^= 0x20; // canary: corrupt the store
 
-    ResultCacheConfig cfg;
-    cfg.capacityBytes = 4 << 20;
-    ResultCache cache(cfg);
-    const ResultCache::Probe lead = cache.begin(req);
-    if (lead.kind != ResultCache::Probe::Kind::Leader) {
-        out.push_back(Violation{
-            "result-cache",
-            "first probe of an empty cache was not Leader"});
-        return;
-    }
-    cache.publish(lead, true, body);
+    constexpr std::size_t kCapacity = 4 << 20;
+    ResultCache cache(kCapacity);
+    cache.insert(ResultCache::Key(req), body);
     if (stats != nullptr)
         ++stats->published;
 
@@ -118,8 +110,9 @@ ResultCacheFuzzer::runCase(Rng &rng, const FuzzDomain &domain,
     req2.traceId = req.traceId + 1;
     req2.options.deadlineMs = 10'000;
 
-    const ResultCache::Probe hit = cache.begin(req2);
-    if (hit.kind != ResultCache::Probe::Kind::Hit) {
+    const ResultCache::Key key2(req2);
+    const std::optional<std::string> hit = cache.lookup(key2);
+    if (!hit) {
         out.push_back(Violation{
             "result-cache",
             "published entry did not Hit for a request differing "
@@ -129,8 +122,8 @@ ResultCacheFuzzer::runCase(Rng &rng, const FuzzDomain &domain,
     }
     const ServiceResponse resp2 = engine_.serve(req2);
     const std::string fresh = responseBodyText(resp2);
-    if (hit.body != fresh) {
-        identityViolation(out, "store", req2, hit.body, fresh);
+    if (*hit != fresh) {
+        identityViolation(out, "store", req2, *hit, fresh);
         return;
     }
     if (stats != nullptr)
@@ -144,22 +137,22 @@ ResultCacheFuzzer::runCase(Rng &rng, const FuzzDomain &domain,
                                 "snapshot save failed: " + error});
         return;
     }
-    ResultCache reloaded(cfg);
+    ResultCache reloaded(kCapacity);
     if (!reloaded.loadSnapshot(snapshot_path_, &error)) {
         out.push_back(Violation{"result-cache",
                                 "snapshot load failed: " + error});
         return;
     }
-    const ResultCache::Probe warmed = reloaded.begin(req2);
-    if (warmed.kind != ResultCache::Probe::Kind::Hit) {
+    const std::optional<std::string> warmed = reloaded.lookup(key2);
+    if (!warmed) {
         out.push_back(Violation{
             "result-cache",
             "snapshot round trip lost the entry (no Hit after "
             "load)"});
         return;
     }
-    if (warmed.body != fresh) {
-        identityViolation(out, "snapshot", req2, warmed.body, fresh);
+    if (*warmed != fresh) {
+        identityViolation(out, "snapshot", req2, *warmed, fresh);
         return;
     }
     if (stats != nullptr)

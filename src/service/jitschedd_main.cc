@@ -46,8 +46,9 @@ usage(int rc)
         "                       else 0)\n"
         "  --snapshot-file FILE warm-restart snapshot: loaded at startup,\n"
         "                       written on clean shutdown and on the\n"
-        "                       SNAPSHOT verb (default:\n"
-        "                       JITSCHED_RESULT_CACHE_SNAPSHOT, else none)\n"
+        "                       SNAPSHOT verb; needs the cache on\n"
+        "                       (default: JITSCHED_RESULT_CACHE_SNAPSHOT,\n"
+        "                       else none)\n"
         "  --trace-out FILE     at shutdown, write collected request\n"
         "                       spans as Chrome/Perfetto trace JSON\n"
         "  --help               this text\n";
@@ -84,8 +85,8 @@ main(int argc, char **argv)
     cfg.resultCacheBytes = mibToBytes(
         "JITSCHED_RESULT_CACHE_MB",
         parseResultCacheMbEnv(std::getenv("JITSCHED_RESULT_CACHE_MB")));
-    if (const char *snap =
-            std::getenv("JITSCHED_RESULT_CACHE_SNAPSHOT"))
+    const char *snapshot_source = "JITSCHED_RESULT_CACHE_SNAPSHOT";
+    if (const char *snap = std::getenv(snapshot_source))
         cfg.snapshotPath = snap;
     std::string trace_out;
     for (int i = 1; i < argc; ++i) {
@@ -115,6 +116,7 @@ main(int argc, char **argv)
                 mibToBytes("--result-cache-mb", intArg(arg, next()));
         } else if (arg == "--snapshot-file") {
             cfg.snapshotPath = next();
+            snapshot_source = "--snapshot-file";
         } else if (arg == "--trace-out") {
             trace_out = next();
         } else {
@@ -123,6 +125,10 @@ main(int argc, char **argv)
             usage(2);
         }
     }
+    // After the loop, so flag order does not matter: with the cache
+    // off no snapshot is ever loaded or written.
+    if (!cfg.snapshotPath.empty() && cfg.resultCacheBytes == 0)
+        JITSCHED_FATAL(snapshot_source, " needs --result-cache-mb > 0");
 
     // Block the shutdown signals before any thread exists so every
     // thread the server spawns inherits the mask and only the main

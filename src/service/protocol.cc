@@ -9,6 +9,7 @@
 
 #include "exec/eval_cache.hh"
 #include "obs/span.hh"
+#include "support/hash.hh"
 #include "support/strutil.hh"
 #include "trace/trace_io.hh"
 
@@ -26,16 +27,6 @@ parseFail(std::string *error, const Parts &...parts)
         (error->append(std::string_view(parts)), ...);
     }
     return false;
-}
-
-/** splitmix64 finalizer — the repo's standard bit mixer. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
 }
 
 std::uint64_t

@@ -57,9 +57,9 @@
  * line.  `cache-hits` and `cache-misses` stay in the grammar, but
  * jitschedd always writes 0 in both: the daemon no longer keeps the
  * per-evaluation memo table they counted.  `result-cache` appears
- * only when the response came out of the request-level result cache
- * (1 = served from the store, 2 = collapsed onto a concurrent
- * identical solve); a cache-off daemon never emits the token, so its
+ * only when the response came out of the request-level result cache,
+ * as `result-cache 1` (served from the store); readers accept any
+ * unsigned value.  A cache-off daemon never emits the token, so its
  * frames are byte-identical to pre-cache builds.
  *
  * Besides scheduling requests, a connection can scrape the daemon's
@@ -215,8 +215,8 @@ struct ServiceStats
     /**
      * How the result cache served this response: 0 = not served from
      * it (miss, or cache off — the token is then omitted from the
-     * wire), 1 = answered from the store, 2 = collapsed onto a
-     * concurrent identical solve (singleflight follower).
+     * wire), 1 = answered from the store.  jitschedd writes only
+     * those two; the parser accepts any unsigned value.
      */
     std::uint64_t resultCache = 0;
 

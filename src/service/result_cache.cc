@@ -7,22 +7,13 @@
 #include <sstream>
 
 #include "obs/instruments.hh"
+#include "support/hash.hh"
 #include "support/logging.hh"
 #include "support/strutil.hh"
 
 namespace jitsched {
 
 namespace {
-
-/** SplitMix64 finalizer: the avalanche step used throughout. */
-constexpr std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 /** Order-sensitive hash chain over raw bytes. */
 std::uint64_t
@@ -72,34 +63,22 @@ snapshotChecksum(const std::vector<std::pair<std::string,
 
 } // anonymous namespace
 
-ResultCache::ResultCache(ResultCacheConfig cfg)
-    : cfg_(cfg),
-      nshards_(std::clamp<std::size_t>(cfg.shards, 1, 64))
+ResultCache::Key::Key(const ServiceRequest &req)
+    : material(keyMaterial(req)), hash(keyHash(material))
 {
-    shards_.reserve(nshards_);
-    for (std::size_t i = 0; i < nshards_; ++i)
-        shards_.push_back(std::make_unique<Shard>());
+}
+
+ResultCache::ResultCache(std::size_t capacityBytes)
+    : capacity_(capacityBytes),
+      shardBytes_(std::max<std::size_t>(capacityBytes / kShards, 1))
+{
 }
 
 ResultCache::Shard &
 ResultCache::shardFor(std::uint64_t hash)
 {
     // The canonical hash is already mixed; its low bits shard.
-    return *shards_[hash % nshards_];
-}
-
-std::size_t
-ResultCache::shardCapacity() const
-{
-    return std::max<std::size_t>(cfg_.capacityBytes / nshards_, 1);
-}
-
-std::size_t
-ResultCache::maxEntryBytes() const
-{
-    if (cfg_.maxEntryBytes != 0)
-        return cfg_.maxEntryBytes;
-    return std::max<std::size_t>(cfg_.capacityBytes / 8, 1);
+    return shards_[hash % kShards];
 }
 
 std::string
@@ -149,177 +128,83 @@ ResultCache::eraseIndexLocked(Shard &shard, Lru::iterator it)
         shard.index.erase(bucket);
 }
 
-void
-ResultCache::insertLocked(Shard &shard, std::string key,
-                          std::string body, std::uint64_t hash,
-                          bool count_insertion)
+std::optional<std::string>
+ResultCache::lookup(const Key &key)
 {
+    if (!enabled())
+        return std::nullopt;
+    Shard &shard = shardFor(key.hash);
+    std::optional<std::string> body;
+    {
+        std::lock_guard<std::mutex> lk(shard.mutex);
+        const Lru::iterator it =
+            findLocked(shard, key.hash, key.material);
+        if (it != shard.lru.end()) {
+            shard.lru.splice(shard.lru.begin(), shard.lru, it);
+            body = it->body;
+        }
+    }
+    {
+        std::lock_guard<std::mutex> clk(counters_mutex_);
+        ++(body ? counters_.hits : counters_.misses);
+    }
+    JITSCHED_OBS({
+        obs::ServiceMetrics &m = obs::ServiceMetrics::get();
+        (body ? m.resultCacheHits : m.resultCacheMisses).add();
+    });
+    return body;
+}
+
+void
+ResultCache::insert(Key key, std::string body)
+{
+    if (!enabled())
+        return;
     const std::size_t charge =
-        key.size() + body.size() + kEntryOverhead;
-    if (charge > maxEntryBytes() || charge > shardCapacity()) {
+        key.material.size() + body.size() + kEntryOverhead;
+    if (charge > shardBytes_) {
         std::lock_guard<std::mutex> clk(counters_mutex_);
         ++counters_.oversized;
         return;
     }
-    if (findLocked(shard, hash, key) != shard.lru.end())
-        return; // a racing leader beat us; its body is identical
-
+    Shard &shard = shardFor(key.hash);
     std::uint64_t evicted = 0;
-    while (shard.bytes + charge > shardCapacity() &&
-           !shard.lru.empty()) {
-        const Lru::iterator victim = std::prev(shard.lru.end());
-        shard.bytes -= victim->key.size() + victim->body.size() +
-                       kEntryOverhead;
-        eraseIndexLocked(shard, victim);
-        shard.lru.erase(victim);
-        ++evicted;
+    {
+        std::lock_guard<std::mutex> lk(shard.mutex);
+        // A concurrent identical miss stored it first; its body is
+        // identical.
+        if (findLocked(shard, key.hash, key.material) !=
+            shard.lru.end())
+            return;
+        while (shard.bytes + charge > shardBytes_ &&
+               !shard.lru.empty()) {
+            const Lru::iterator victim = std::prev(shard.lru.end());
+            shard.bytes -= victim->key.size() + victim->body.size() +
+                           kEntryOverhead;
+            eraseIndexLocked(shard, victim);
+            shard.lru.erase(victim);
+            ++evicted;
+        }
+        shard.lru.push_front(
+            Entry{std::move(key.material), std::move(body), key.hash});
+        shard.index[key.hash].push_back(shard.lru.begin());
+        shard.bytes += charge;
     }
-
-    shard.lru.push_front(Entry{std::move(key), std::move(body),
-                               hash});
-    shard.index[hash].push_back(shard.lru.begin());
-    shard.bytes += charge;
-
     {
         std::lock_guard<std::mutex> clk(counters_mutex_);
         counters_.evictions += evicted;
-        if (count_insertion)
-            ++counters_.insertions;
+        ++counters_.insertions;
     }
-    // The size gauges are refreshed by the caller once the shard
-    // lock is released: bytes()/entries() re-lock every shard, which
-    // would self-deadlock here.
-    JITSCHED_OBS({
-        if (evicted != 0)
-            obs::ServiceMetrics::get().resultCacheEvictions.add(
-                evicted);
-    });
-}
-
-ResultCache::Probe
-ResultCache::begin(const ServiceRequest &req)
-{
-    Probe probe;
-    if (!enabled())
-        return probe; // Bypass: byte-for-byte today's behavior
-
-    probe.key = keyMaterial(req);
-    probe.hash = keyHash(probe.key);
-    Shard &shard = shardFor(probe.hash);
-
-    std::lock_guard<std::mutex> lk(shard.mutex);
-    const Lru::iterator it = findLocked(shard, probe.hash, probe.key);
-    if (it != shard.lru.end()) {
-        shard.lru.splice(shard.lru.begin(), shard.lru, it);
-        probe.kind = Probe::Kind::Hit;
-        probe.body = it->body;
-        {
-            std::lock_guard<std::mutex> clk(counters_mutex_);
-            ++counters_.hits;
-        }
-        JITSCHED_OBS(
-            obs::ServiceMetrics::get().resultCacheHits.add());
-        return probe;
-    }
-
-    {
-        std::lock_guard<std::mutex> clk(counters_mutex_);
-        ++counters_.misses;
-    }
-    JITSCHED_OBS(obs::ServiceMetrics::get().resultCacheMisses.add());
-
-    const auto flight = shard.flights.find(probe.key);
-    if (flight != shard.flights.end()) {
-        if (flight->second->waiters >= cfg_.maxWaiters) {
-            // Bounded waiter list: overflow degrades to an
-            // independent solve, never to an unbounded queue.
-            {
-                std::lock_guard<std::mutex> clk(counters_mutex_);
-                ++counters_.waiterOverflow;
-            }
-            probe.kind = Probe::Kind::Bypass;
-            return probe;
-        }
-        ++flight->second->waiters;
-        probe.kind = Probe::Kind::Follower;
-        probe.flight = flight->second;
-        return probe;
-    }
-
-    probe.kind = Probe::Kind::Leader;
-    probe.flight = std::make_shared<ResultCacheFlight>();
-    shard.flights.emplace(probe.key, probe.flight);
-    return probe;
-}
-
-void
-ResultCache::publish(const Probe &probe, bool ok, std::string body)
-{
-    if (probe.flight == nullptr)
-        return;
-    Shard &shard = shardFor(probe.hash);
-    {
-        // Retire the flight first so late probers start a new one
-        // instead of following a flight that already fired.
-        std::lock_guard<std::mutex> lk(shard.mutex);
-        shard.flights.erase(probe.key);
-        if (ok)
-            insertLocked(shard, probe.key, body, probe.hash,
-                         /*count_insertion=*/true);
-    }
+    // The gauges re-lock every shard, so they are read only once the
+    // shard lock is released.
     JITSCHED_OBS({
         obs::ServiceMetrics &m = obs::ServiceMetrics::get();
+        if (evicted != 0)
+            m.resultCacheEvictions.add(evicted);
         m.resultCacheBytes.set(static_cast<std::int64_t>(bytes()));
         m.resultCacheEntries.set(
             static_cast<std::int64_t>(entries()));
     });
-    {
-        std::lock_guard<std::mutex> flk(probe.flight->mutex);
-        probe.flight->done = true;
-        probe.flight->ok = ok;
-        probe.flight->body = std::move(body);
-    }
-    probe.flight->cv.notify_all();
-}
-
-ResultCache::WaitOutcome
-ResultCache::waitFollower(
-    const Probe &probe,
-    std::optional<std::chrono::steady_clock::time_point> deadline,
-    bool *ok, std::string *body)
-{
-    ResultCacheFlight &flight = *probe.flight;
-    bool ready = false;
-    {
-        std::unique_lock<std::mutex> lk(flight.mutex);
-        const auto done = [&] { return flight.done; };
-        if (deadline.has_value())
-            ready = flight.cv.wait_until(lk, *deadline, done);
-        else {
-            flight.cv.wait(lk, done);
-            ready = true;
-        }
-        if (ready) {
-            *ok = flight.ok;
-            *body = flight.body;
-        }
-    }
-    {
-        // The waiter slot frees under the shard lock that admitted it.
-        Shard &shard = shardFor(probe.hash);
-        std::lock_guard<std::mutex> lk(shard.mutex);
-        if (probe.flight->waiters > 0)
-            --probe.flight->waiters;
-    }
-    std::lock_guard<std::mutex> clk(counters_mutex_);
-    if (ready) {
-        ++counters_.collapsed;
-        JITSCHED_OBS(
-            obs::ServiceMetrics::get().resultCacheCollapsed.add());
-        return WaitOutcome::Ready;
-    }
-    ++counters_.collapseTimeouts;
-    return WaitOutcome::Timeout;
 }
 
 bool
@@ -330,9 +215,9 @@ ResultCache::saveSnapshot(const std::string &path, std::string *error,
     // Collect MRU-first so a smaller restart capacity keeps the
     // hottest entries when the loader truncates the tail.
     std::vector<std::pair<std::string, std::string>> rows;
-    for (const auto &shard : shards_) {
-        std::lock_guard<std::mutex> lk(shard->mutex);
-        for (const Entry &e : shard->lru)
+    for (const Shard &shard : shards_) {
+        std::lock_guard<std::mutex> lk(shard.mutex);
+        for (const Entry &e : shard.lru)
             rows.emplace_back(e.key, e.body);
     }
 
@@ -473,8 +358,7 @@ ResultCache::loadSnapshot(const std::string &path, std::string *error,
         std::lock_guard<std::mutex> lk(shard.mutex);
         const std::size_t charge =
             key.size() + body.size() + kEntryOverhead;
-        if (charge > maxEntryBytes() ||
-            shard.bytes + charge > shardCapacity())
+        if (shard.bytes + charge > shardBytes_)
             continue;
         if (findLocked(shard, hash, key) != shard.lru.end())
             continue;
@@ -505,9 +389,9 @@ std::size_t
 ResultCache::entries() const
 {
     std::size_t total = 0;
-    for (const auto &shard : shards_) {
-        std::lock_guard<std::mutex> lk(shard->mutex);
-        total += shard->lru.size();
+    for (const Shard &shard : shards_) {
+        std::lock_guard<std::mutex> lk(shard.mutex);
+        total += shard.lru.size();
     }
     return total;
 }
@@ -516,9 +400,9 @@ std::size_t
 ResultCache::bytes() const
 {
     std::size_t total = 0;
-    for (const auto &shard : shards_) {
-        std::lock_guard<std::mutex> lk(shard->mutex);
-        total += shard->bytes;
+    for (const Shard &shard : shards_) {
+        std::lock_guard<std::mutex> lk(shard.mutex);
+        total += shard.bytes;
     }
     return total;
 }
@@ -528,21 +412,6 @@ ResultCache::counters() const
 {
     std::lock_guard<std::mutex> clk(counters_mutex_);
     return counters_;
-}
-
-void
-ResultCache::clear()
-{
-    for (auto &shard : shards_) {
-        std::lock_guard<std::mutex> lk(shard->mutex);
-        shard->lru.clear();
-        shard->index.clear();
-        // Dropping a pending flight record only means later probers
-        // lead their own solves; existing followers keep their
-        // shared_ptr and are still released by their leader.
-        shard->flights.clear();
-        shard->bytes = 0;
-    }
 }
 
 std::string

@@ -1,7 +1,7 @@
 /**
  * @file
- * Request-level result cache with singleflight collapsing and
- * warm-restart snapshots.
+ * Request-level result cache: a sharded, full-key LRU of response
+ * bodies with warm-restart snapshots.
  *
  * The solvers are deterministic: the same (policy, options, workload)
  * always produces the same response body, yet ServiceEngine re-runs
@@ -28,15 +28,9 @@
  * across worker counts, not schedule identity, and the cache promises
  * byte identity.
  *
- * Singleflight: N concurrent identical requests collapse onto one
- * solve.  The first prober becomes the *leader* (Kind::Leader) and
- * solves through the normal admission path; later identical probers
- * become *followers* (Kind::Follower) that block on the leader's
- * flight — with their own deadline still respected — and are answered
- * from its published body.  The waiter list is bounded; overflow
- * probers fall back to an independent solve (Kind::Bypass) so a
- * thundering herd can degrade to today's behavior but never queue
- * unboundedly behind one flight.
+ * Concurrent identical misses each solve and each insert: the
+ * solvers are deterministic, so the bodies agree, and an insert that
+ * finds its key already stored leaves it as is.
  *
  * Snapshots: a versioned, checksummed, size-capped file of the cached
  * entries, written on clean shutdown and on demand (SNAPSHOT wire
@@ -51,19 +45,17 @@
  *   checksum <16 hex digits>
  *   end
  *
- * A capacity of 0 disables everything: begin() answers Bypass without
- * touching the request, so a cache-off server is byte-for-byte
- * today's server.
+ * A capacity of 0 disables everything: the server builds no key and
+ * probes nothing, so a cache-off server is byte-for-byte the
+ * cacheless one.
  */
 
 #ifndef JITSCHED_SERVICE_RESULT_CACHE_HH
 #define JITSCHED_SERVICE_RESULT_CACHE_HH
 
-#include <chrono>
-#include <condition_variable>
+#include <array>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -74,119 +66,57 @@
 
 namespace jitsched {
 
-/** Knobs of the result cache. */
-struct ResultCacheConfig
-{
-    /** Total body+key budget in bytes; 0 disables the cache. */
-    std::size_t capacityBytes = 0;
-
-    /** Shard count (clamped to [1, 64]); per-shard budget is
-     * capacityBytes / shards. */
-    std::size_t shards = 8;
-
-    /**
-     * Followers allowed to wait on one in-flight solve; probers past
-     * the bound solve independently instead of queueing.
-     */
-    std::size_t maxWaiters = 64;
-
-    /**
-     * Largest single entry admitted (key + body bytes); 0 derives
-     * capacityBytes / 8.  Oversized results are still served and
-     * published to followers, just never stored.
-     */
-    std::size_t maxEntryBytes = 0;
-};
-
-/**
- * One in-flight solve that identical requests collapse onto.  done /
- * ok / body are guarded by `mutex`; `waiters` is guarded by the
- * owning shard's mutex (admission decisions happen there).
- */
-struct ResultCacheFlight
-{
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-    bool ok = false;
-    std::string body;
-    std::size_t waiters = 0;
-};
-
 class ResultCache
 {
   public:
+    /** Shard count; each shard holds capacityBytes / kShards, and no
+     * entry larger than one shard is stored. */
+    static constexpr std::size_t kShards = 8;
+
     /** Monotone counters (see counters()). */
     struct Counters
     {
-        std::uint64_t hits = 0;        ///< begin() served from store
-        std::uint64_t misses = 0;      ///< begin() found nothing
-        std::uint64_t collapsed = 0;   ///< followers answered by a leader
-        std::uint64_t collapseTimeouts = 0; ///< followers that hit their deadline
+        std::uint64_t hits = 0;        ///< lookup() served from store
+        std::uint64_t misses = 0;      ///< lookup() found nothing
         std::uint64_t insertions = 0;  ///< bodies admitted to the store
         std::uint64_t evictions = 0;   ///< entries evicted by LRU
         std::uint64_t oversized = 0;   ///< bodies rejected: too large
-        std::uint64_t waiterOverflow = 0; ///< probers past maxWaiters
         std::uint64_t snapshotSaves = 0;  ///< successful saveSnapshot()
         std::uint64_t snapshotLoads = 0;  ///< successful loadSnapshot()
     };
 
-    /** What one begin() probe resolved to. */
-    struct Probe
+    /** A request's canonical key material and its hash, built once
+     * per miss and moved into the entry by insert(). */
+    struct Key
     {
-        enum class Kind
-        {
-            Bypass,   ///< cache off / waiter overflow: solve normally
-            Hit,      ///< `body` is the cached response body
-            Leader,   ///< solve, then publish() the body
-            Follower, ///< waitFollower() for the leader's body
-        };
+        explicit Key(const ServiceRequest &req);
 
-        Kind kind = Kind::Bypass;
-        std::string body; ///< Hit only
-        std::string key;  ///< canonical key material (Leader/Follower)
-        std::uint64_t hash = 0;
-        std::shared_ptr<ResultCacheFlight> flight;
+        std::string material;
+        std::uint64_t hash;
     };
 
-    /** Why a follower's wait ended. */
-    enum class WaitOutcome
-    {
-        Ready,   ///< leader published; *ok / *body are filled
-        Timeout, ///< the follower's own deadline expired first
-    };
-
-    explicit ResultCache(ResultCacheConfig cfg = {});
+    /** @param capacityBytes key+body budget; 0 disables the cache. */
+    explicit ResultCache(std::size_t capacityBytes);
 
     ResultCache(const ResultCache &) = delete;
     ResultCache &operator=(const ResultCache &) = delete;
 
     /** True when capacityBytes > 0. */
-    bool enabled() const { return cfg_.capacityBytes > 0; }
+    bool enabled() const { return capacity_ > 0; }
 
     /**
-     * Probe for @p req.  Hit returns the stored body; Miss makes the
-     * caller the leader of a new flight (it MUST publish() exactly
-     * once) or a follower of an existing one (it MUST waitFollower()).
+     * The body stored under @p key, now most recently used; nullopt
+     * on a miss or when the cache is off.
      */
-    Probe begin(const ServiceRequest &req);
+    std::optional<std::string> lookup(const Key &key);
 
     /**
-     * Leader hand-off: wake every follower with (@p ok, @p body) and
-     * admit the body to the store when @p ok.  @p probe must be the
-     * Leader probe begin() returned.
+     * Store @p body — an ok response's body — under @p key, evicting
+     * the shard's least recently used entries to fit.  A body larger
+     * than one shard is counted oversized and not stored; a key
+     * already stored is left as is.  No-op when the cache is off.
      */
-    void publish(const Probe &probe, bool ok, std::string body);
-
-    /**
-     * Block until the leader publishes or @p deadline (when set)
-     * expires.  On Ready, *ok and *body receive the leader's result.
-     */
-    WaitOutcome
-    waitFollower(const Probe &probe,
-                 std::optional<std::chrono::steady_clock::time_point>
-                     deadline,
-                 bool *ok, std::string *body);
+    void insert(Key key, std::string body);
 
     /**
      * Write every cached entry to @p path (MRU first), versioned and
@@ -213,9 +143,6 @@ class ResultCache
     std::size_t bytes() const;
 
     Counters counters() const;
-
-    /** Drop every entry and in-flight record (counters survive). */
-    void clear();
 
     /**
      * Canonical key material: the request re-serialized without id,
@@ -245,9 +172,6 @@ class ResultCache
         /** hash -> colliding entries; hits compare the full key. */
         std::unordered_map<std::uint64_t, std::vector<Lru::iterator>>
             index;
-        std::unordered_map<std::string,
-                           std::shared_ptr<ResultCacheFlight>>
-            flights;
         std::size_t bytes = 0;
     };
 
@@ -255,17 +179,13 @@ class ResultCache
     static constexpr std::size_t kEntryOverhead = 64;
 
     Shard &shardFor(std::uint64_t hash);
-    std::size_t shardCapacity() const;
-    std::size_t maxEntryBytes() const;
     Lru::iterator findLocked(Shard &shard, std::uint64_t hash,
                              const std::string &material);
-    void insertLocked(Shard &shard, std::string key, std::string body,
-                      std::uint64_t hash, bool count_insertion);
     void eraseIndexLocked(Shard &shard, Lru::iterator it);
 
-    const ResultCacheConfig cfg_;
-    const std::size_t nshards_;
-    std::vector<std::unique_ptr<Shard>> shards_;
+    const std::size_t capacity_;
+    const std::size_t shardBytes_; ///< per-shard and per-entry cap
+    std::array<Shard, kShards> shards_;
 
     mutable std::mutex counters_mutex_;
     Counters counters_;

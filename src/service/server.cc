@@ -1,6 +1,7 @@
 #include "service/server.hh"
 
 #include <chrono>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -10,7 +11,6 @@
 #include "obs/instruments.hh"
 #include "obs/span.hh"
 #include "support/logging.hh"
-#include "support/strutil.hh"
 
 namespace jitsched {
 
@@ -107,7 +107,7 @@ serveAdmitted(ServiceEngine &engine, const ServiceRequest &req)
 
 ServiceServer::ServiceServer(ServiceEngine &engine, ServerConfig cfg)
     : engine_(engine), cfg_(std::move(cfg)),
-      rcache_(ResultCacheConfig{cfg_.resultCacheBytes}),
+      rcache_(cfg_.resultCacheBytes),
       front_(frontEndConfig(cfg_), frontEndMetrics(),
              [this](std::string_view frame) {
                  return answerRequest(frame);
@@ -209,14 +209,12 @@ ServiceServer::answerRequest(std::string_view frame)
     std::string status;     ///< flight-record status
     ServiceStats stats;     ///< flight-record timing source
     std::uint64_t request_id = 0;
-    bool from_cache = false; ///< hit or collapsed follower
-    bool answered = false;   ///< resp already holds the answer
+    bool from_cache = false; ///< answered from the store
     if (!req) {
         // The id may not even have parsed; 0 is the documented
         // "unattributable" id.
         resp = makeErrorResponse(0, errcode::invalidArgument,
                                  parse_error);
-        answered = true;
     } else {
         // First contact mints the trace id when the client (or
         // router) did not — every request through the server is
@@ -228,87 +226,40 @@ ServiceServer::answerRequest(std::string_view frame)
 
         // Result-cache fast path, probed before admission: a
         // known answer skips the deadline check and the solve.
-        ResultCache::Probe probe;
+        std::optional<ResultCache::Key> key;
         if (rcache_.enabled()) {
             const auto c0 = std::chrono::steady_clock::now();
-            bool cached_ok = false;
-            std::string body;
+            std::optional<std::string> body;
             {
                 obs::ScopedSpan span(req->traceId,
                                      "service.result_cache");
-                probe = rcache_.begin(*req);
+                key.emplace(*req);
+                body = rcache_.lookup(*key);
             }
-            switch (probe.kind) {
-            case ResultCache::Probe::Kind::Hit:
-                cached_ok = true;
-                body = std::move(probe.body);
-                stats.resultCache = 1;
-                break;
-            case ResultCache::Probe::Kind::Follower: {
-                // Collapse onto the identical in-flight solve,
-                // honoring this waiter's own deadline.
-                std::optional<
-                    std::chrono::steady_clock::time_point>
-                    deadline;
-                if (req->options.deadlineMs >= 0)
-                    deadline =
-                        c0 + std::chrono::milliseconds(
-                                 req->options.deadlineMs);
-                if (rcache_.waitFollower(probe, deadline,
-                                         &cached_ok, &body) ==
-                    ResultCache::WaitOutcome::Ready) {
-                    stats.resultCache = 2;
-                } else {
-                    resp = makeErrorResponse(
-                        req->id, errcode::deadlineExceeded,
-                        "deadline expired while waiting on an "
-                        "identical in-flight request");
-                    resp.stats.traceId = req->traceId;
-                    answered = true;
-                }
-                break;
-            }
-            case ResultCache::Probe::Kind::Leader:
-            case ResultCache::Probe::Kind::Bypass:
-                break;
-            }
-            if (stats.resultCache != 0) {
+            if (body) {
                 from_cache = true;
+                stats.resultCache = 1;
                 stats.traceId = req->traceId;
                 stats.solveNs =
                     std::chrono::duration_cast<
                         std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - c0)
                         .count();
-                // The stored body's own status line is the
-                // record's status: only ok results enter the
-                // store, but a follower can be fed an error.
-                status = "ok";
-                if (!cached_ok) {
-                    // The body opens `status error <CODE>`.
-                    Tokenizer bt(body);
-                    bt.next();
-                    bt.next();
-                    status = bt.next();
-                    if (status.empty())
-                        status = errcode::unavailable;
-                }
+                status = "ok"; // only ok bodies are stored
                 obs::ScopedSpan span(req->traceId,
                                      "service.serialize");
-                resp_text = cachedResponseText(req->id, body,
-                                               stats);
+                resp_text = cachedResponseText(req->id, *body, stats);
             }
         }
 
-        if (!from_cache && !answered) {
+        if (!from_cache) {
             resp = serveAdmitted(engine_, *req);
-            // The leader publishes unconditionally — even an
-            // expired answer releases the followers (serveAdmitted
-            // answers every request, so no flight is ever
-            // abandoned).
-            if (probe.kind == ResultCache::Probe::Kind::Leader)
-                rcache_.publish(probe, resp.ok,
-                                responseBodyText(resp));
+            // Only ok answers are stored: an error (a spent
+            // deadline, an unknown policy) is answered again, never
+            // replayed.
+            if (key && resp.ok)
+                rcache_.insert(std::move(*key),
+                               responseBodyText(resp));
         }
     }
     if (!from_cache) {

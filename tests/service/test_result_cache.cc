@@ -1,25 +1,28 @@
 /**
  * @file
  * The request-level result cache (service/result_cache.hh): key
- * canonicalization, LRU eviction determinism, singleflight
- * collapsing with deadline-respecting waiters, snapshot round trips
- * and strict rejection of damaged snapshot files, plus a TSan-aimed
+ * canonicalization, LRU eviction determinism, the daemon's cache
+ * path over loopback, snapshot round trips and strict rejection of
+ * damaged snapshot files, plus a TSan-aimed
  * concurrency hammer (this suite runs under the `service` label the
  * TSan job builds with -fsanitize=thread).
  */
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "service/client.hh"
 #include "service/result_cache.hh"
+#include "service/server.hh"
 #include "trace/paper_examples.hh"
 
 namespace jitsched {
@@ -41,6 +44,71 @@ tempPath(const char *tag)
 {
     return testing::TempDir() + "result_cache_" + tag + "_" +
            std::to_string(::getpid()) + ".snapshot";
+}
+
+void
+put(ResultCache &cache, const ServiceRequest &req, std::string body)
+{
+    cache.insert(ResultCache::Key(req), std::move(body));
+}
+
+std::optional<std::string>
+get(ResultCache &cache, const ServiceRequest &req)
+{
+    return cache.lookup(ResultCache::Key(req));
+}
+
+std::size_t
+shardOf(const ServiceRequest &req)
+{
+    return ResultCache::keyHash(ResultCache::keyMaterial(req)) %
+           ResultCache::kShards;
+}
+
+/** Send @p req on a fresh connection to @p port; the raw answer. */
+std::string
+sendRaw(std::uint16_t port, const ServiceRequest &req)
+{
+    ServiceClient client;
+    std::string error;
+    EXPECT_TRUE(client.connect("127.0.0.1", port, &error)) << error;
+    const auto raw = client.callRaw(requestText(req), &error);
+    EXPECT_TRUE(raw.has_value()) << error;
+    return raw.value_or("");
+}
+
+ServiceResponse
+parseFrame(const std::string &frame)
+{
+    std::istringstream is(frame);
+    std::string error;
+    const auto resp = tryReadResponse(is, &error);
+    EXPECT_TRUE(resp.has_value()) << error << "\n" << frame;
+    return resp.value_or(ServiceResponse{});
+}
+
+/** The frame's lines between the response header and `stats`. */
+std::string
+bodyAboveStats(const std::string &frame)
+{
+    std::istringstream is(frame);
+    std::string line;
+    std::getline(is, line); // jitsched-response <id>
+    std::string out;
+    while (std::getline(is, line) && line.rfind("stats ", 0) != 0)
+        out += line + "\n";
+    return out;
+}
+
+ServerConfig
+cacheOnConfig()
+{
+    ServerConfig cfg;
+    cfg.resultCacheBytes = std::size_t(16) << 20;
+    // A handler serves one connection at a time: enough of them for
+    // every concurrent client below.
+    cfg.handlerThreads = 8;
+    return cfg;
 }
 
 // --- Key canonicalization -----------------------------------------
@@ -105,184 +173,186 @@ TEST(ResultCacheKey, SemanticFieldsSeparateEntries)
 
 TEST(ResultCache, DisabledCacheAlwaysBypasses)
 {
-    ResultCache cache; // capacityBytes = 0
+    ResultCache cache(0);
     EXPECT_FALSE(cache.enabled());
-    const auto probe = cache.begin(makeRequest());
-    EXPECT_EQ(probe.kind, ResultCache::Probe::Kind::Bypass);
+    put(cache, makeRequest(), "makespan 11\n");
+    EXPECT_FALSE(get(cache, makeRequest()).has_value());
+    EXPECT_EQ(cache.entries(), 0u);
     EXPECT_EQ(cache.counters().hits, 0u);
     EXPECT_EQ(cache.counters().misses, 0u);
+    EXPECT_EQ(cache.counters().insertions, 0u);
 }
 
 TEST(ResultCache, LeaderPublishesThenHits)
 {
-    ResultCacheConfig cfg;
-    cfg.capacityBytes = 1 << 20;
-    ResultCache cache(cfg);
+    // A miss, then the solved body inserted, then a hit.
+    ResultCache cache(1 << 20);
+    EXPECT_FALSE(get(cache, makeRequest()).has_value());
+    put(cache, makeRequest(), "makespan 11\n");
 
-    const auto lead = cache.begin(makeRequest());
-    ASSERT_EQ(lead.kind, ResultCache::Probe::Kind::Leader);
-    cache.publish(lead, true, "makespan 11\n");
-
-    const auto hit = cache.begin(makeRequest());
-    ASSERT_EQ(hit.kind, ResultCache::Probe::Kind::Hit);
-    EXPECT_EQ(hit.body, "makespan 11\n");
+    EXPECT_EQ(get(cache, makeRequest()), "makespan 11\n");
     EXPECT_EQ(cache.entries(), 1u);
     EXPECT_EQ(cache.counters().hits, 1u);
     EXPECT_EQ(cache.counters().misses, 1u);
     EXPECT_EQ(cache.counters().insertions, 1u);
-}
 
-TEST(ResultCache, ErrorBodiesAreNotStored)
-{
-    ResultCacheConfig cfg;
-    cfg.capacityBytes = 1 << 20;
-    ResultCache cache(cfg);
-
-    const auto lead = cache.begin(makeRequest());
-    ASSERT_EQ(lead.kind, ResultCache::Probe::Kind::Leader);
-    cache.publish(lead, false, "status error UNAVAILABLE\n");
-
-    EXPECT_EQ(cache.entries(), 0u);
-    EXPECT_EQ(cache.begin(makeRequest()).kind,
-              ResultCache::Probe::Kind::Leader);
+    // A second insert of a stored key leaves the entry as it was.
+    put(cache, makeRequest(), "makespan 99\n");
+    EXPECT_EQ(get(cache, makeRequest()), "makespan 11\n");
+    EXPECT_EQ(cache.counters().insertions, 1u);
 }
 
 TEST(ResultCache, EvictionIsDeterministicLru)
 {
-    // One shard so the LRU order is global; capacity sized to hold
-    // exactly two of the three equally-charged entries.
-    const std::string body(100, 'x');
-    const std::size_t charge =
-        ResultCache::keyMaterial(makeRequest(1)).size() +
-        body.size() + 64;
-    ResultCacheConfig cfg;
-    cfg.shards = 1;
-    cfg.capacityBytes = 2 * charge + charge / 2;
-    cfg.maxEntryBytes = 2 * charge;
-    ResultCache cache(cfg);
+    // Three keys that share a shard, so its LRU order is theirs;
+    // each body is padded to one charge, and each shard holds
+    // exactly two charges.
+    std::vector<ServiceRequest> reqs;
+    for (int cores = 1; reqs.size() < 3; ++cores)
+        if (reqs.empty() || shardOf(makeRequest(cores)) ==
+                                shardOf(reqs.front()))
+            reqs.push_back(makeRequest(cores));
+    constexpr std::size_t kCharge = 4096;
+    const auto body = [](const ServiceRequest &req) {
+        return std::string(
+            kCharge - 64 - ResultCache::keyMaterial(req).size(), 'x');
+    };
+    ResultCache cache(ResultCache::kShards * (2 * kCharge + kCharge / 2));
 
-    for (int cores : {1, 2}) {
-        const auto lead = cache.begin(makeRequest(cores));
-        ASSERT_EQ(lead.kind, ResultCache::Probe::Kind::Leader);
-        cache.publish(lead, true, body);
-    }
-    // Touch entry #1 so entry #2 is the LRU tail...
-    EXPECT_EQ(cache.begin(makeRequest(1)).kind,
-              ResultCache::Probe::Kind::Hit);
-    // ...and inserting #3 must evict exactly #2.
-    const auto lead3 = cache.begin(makeRequest(3));
-    ASSERT_EQ(lead3.kind, ResultCache::Probe::Kind::Leader);
-    cache.publish(lead3, true, body);
+    put(cache, reqs[0], body(reqs[0]));
+    put(cache, reqs[1], body(reqs[1]));
+    // Touch entry #0 so entry #1 is the LRU tail...
+    EXPECT_TRUE(get(cache, reqs[0]).has_value());
+    // ...and inserting #2 must evict exactly #1.
+    put(cache, reqs[2], body(reqs[2]));
 
     EXPECT_EQ(cache.counters().evictions, 1u);
-    EXPECT_EQ(cache.begin(makeRequest(1)).kind,
-              ResultCache::Probe::Kind::Hit);
-    EXPECT_EQ(cache.begin(makeRequest(3)).kind,
-              ResultCache::Probe::Kind::Hit);
-    EXPECT_EQ(cache.begin(makeRequest(2)).kind,
-              ResultCache::Probe::Kind::Leader);
+    EXPECT_TRUE(get(cache, reqs[0]).has_value());
+    EXPECT_TRUE(get(cache, reqs[2]).has_value());
+    EXPECT_FALSE(get(cache, reqs[1]).has_value());
 }
 
 TEST(ResultCache, OversizedBodiesServeButNeverStore)
 {
-    ResultCacheConfig cfg;
-    cfg.capacityBytes = 4096;
-    cfg.maxEntryBytes = 256;
-    ResultCache cache(cfg);
-
-    const auto lead = cache.begin(makeRequest());
-    ASSERT_EQ(lead.kind, ResultCache::Probe::Kind::Leader);
-    cache.publish(lead, true, std::string(1024, 'y'));
+    // 4096 bytes over 8 shards: no entry above 512 bytes is stored.
+    ResultCache cache(4096);
+    put(cache, makeRequest(), std::string(1024, 'y'));
 
     EXPECT_EQ(cache.entries(), 0u);
     EXPECT_EQ(cache.counters().oversized, 1u);
 }
 
-// --- Singleflight -------------------------------------------------
+// --- The daemon's result-cache path (loopback) --------------------
 
-TEST(ResultCache, FollowersCollapseOntoOneSolve)
+TEST(ResultCache, ErrorBodiesAreNotStored)
 {
-    ResultCacheConfig cfg;
-    cfg.capacityBytes = 1 << 20;
-    ResultCache cache(cfg);
+    // Only ok answers enter the store: an error is answered again,
+    // never replayed.
+    ServiceEngine engine;
+    ServiceServer server(engine, cacheOnConfig());
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
 
-    const auto lead = cache.begin(makeRequest());
-    ASSERT_EQ(lead.kind, ResultCache::Probe::Kind::Leader);
-
-    constexpr int kFollowers = 6;
-    std::atomic<int> registered{0};
-    std::atomic<int> served_ok{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kFollowers);
-    for (int i = 0; i < kFollowers; ++i) {
-        threads.emplace_back([&] {
-            const auto probe = cache.begin(makeRequest());
-            ASSERT_EQ(probe.kind,
-                      ResultCache::Probe::Kind::Follower);
-            registered.fetch_add(1);
-            bool ok = false;
-            std::string body;
-            const auto outcome = cache.waitFollower(
-                probe, std::nullopt, &ok, &body);
-            if (outcome == ResultCache::WaitOutcome::Ready && ok &&
-                body == "makespan 11\n")
-                served_ok.fetch_add(1);
-        });
+    ServiceRequest req = makeRequest();
+    req.policy = "no-such-policy";
+    for (int round = 0; round < 2; ++round) {
+        const ServiceResponse resp =
+            parseFrame(sendRaw(server.port(), req));
+        EXPECT_FALSE(resp.ok);
+        EXPECT_EQ(resp.code, errcode::invalidArgument);
+        EXPECT_EQ(resp.stats.resultCache, 0u);
     }
-    while (registered.load() < kFollowers)
-        std::this_thread::yield();
-    cache.publish(lead, true, "makespan 11\n");
+    EXPECT_EQ(server.resultCache().entries(), 0u);
+    server.stop();
+}
+
+class ResultCacheLoopback : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        std::string error;
+        ASSERT_TRUE(server_.start(&error)) << error;
+    }
+
+    void TearDown() override { server_.stop(); }
+
+    ServiceEngine engine_;
+    ServiceServer server_{engine_, cacheOnConfig()};
+};
+
+TEST_F(ResultCacheLoopback, RepeatIsAByteIdenticalStoreHit)
+{
+    ServiceRequest req = makeRequest();
+    req.id = 7;
+    req.traceId = 0x71;
+    const std::string fresh = sendRaw(server_.port(), req);
+
+    // Only the non-semantic fields differ: a store hit.
+    ServiceRequest repeat = req;
+    repeat.id = 8;
+    repeat.traceId = 0x72;
+    repeat.options.deadlineMs = 10'000;
+    const std::string hit = sendRaw(server_.port(), repeat);
+
+    const ServiceResponse fresh_resp = parseFrame(fresh);
+    const ServiceResponse hit_resp = parseFrame(hit);
+    ASSERT_TRUE(fresh_resp.ok) << fresh_resp.error;
+    ASSERT_TRUE(hit_resp.ok) << hit_resp.error;
+    EXPECT_EQ(fresh_resp.stats.resultCache, 0u);
+    EXPECT_EQ(hit_resp.stats.resultCache, 1u);
+    EXPECT_EQ(hit_resp.id, 8u);
+    EXPECT_EQ(hit_resp.stats.traceId, 0x72u);
+    EXPECT_EQ(bodyAboveStats(hit), bodyAboveStats(fresh));
+}
+
+TEST_F(ResultCacheLoopback, SpentDeadlineAnswerIsNotStored)
+{
+    ServiceRequest spent = makeRequest();
+    spent.options.deadlineMs = 0;
+    const ServiceResponse expired =
+        parseFrame(sendRaw(server_.port(), spent));
+    EXPECT_FALSE(expired.ok);
+    EXPECT_EQ(expired.code, errcode::deadlineExceeded);
+    EXPECT_EQ(server_.resultCache().entries(), 0u);
+
+    // The next plain request is a fresh solve, then stored.
+    const ServiceResponse plain =
+        parseFrame(sendRaw(server_.port(), makeRequest()));
+    ASSERT_TRUE(plain.ok) << plain.error;
+    EXPECT_EQ(plain.stats.resultCache, 0u);
+    EXPECT_EQ(server_.resultCache().entries(), 1u);
+}
+
+TEST_F(ResultCacheLoopback, ConcurrentIdenticalRequestsAgreeThenHit)
+{
+    // Eight clients send one key nothing has solved yet, at once.
+    constexpr std::size_t kClients = 8;
+    ServiceRequest req = makeRequest(2);
+    req.policy = "lower-bound";
+    std::vector<std::string> frames(kClients);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < kClients; ++i)
+        threads.emplace_back([&, i] {
+            ServiceRequest mine = req;
+            mine.id = 100 + i;
+            frames[i] = sendRaw(server_.port(), mine);
+        });
     for (std::thread &t : threads)
         t.join();
 
-    EXPECT_EQ(served_ok.load(), kFollowers);
-    EXPECT_EQ(cache.counters().collapsed,
-              static_cast<std::uint64_t>(kFollowers));
-    EXPECT_EQ(cache.counters().insertions, 1u);
-}
-
-TEST(ResultCache, FollowerDeadlineIsRespected)
-{
-    ResultCacheConfig cfg;
-    cfg.capacityBytes = 1 << 20;
-    ResultCache cache(cfg);
-
-    const auto lead = cache.begin(makeRequest());
-    ASSERT_EQ(lead.kind, ResultCache::Probe::Kind::Leader);
-    const auto follower = cache.begin(makeRequest());
-    ASSERT_EQ(follower.kind, ResultCache::Probe::Kind::Follower);
-
-    // A deadline already in the past: the wait must return Timeout
-    // immediately instead of blocking on the (never-publishing)
-    // leader.
-    bool ok = false;
-    std::string body;
-    EXPECT_EQ(cache.waitFollower(follower,
-                                 std::chrono::steady_clock::now() -
-                                     std::chrono::milliseconds(1),
-                                 &ok, &body),
-              ResultCache::WaitOutcome::Timeout);
-    EXPECT_EQ(cache.counters().collapseTimeouts, 1u);
-
-    // The leader's publish must still work after the waiter left.
-    cache.publish(lead, true, "makespan 11\n");
-    EXPECT_EQ(cache.begin(makeRequest()).kind,
-              ResultCache::Probe::Kind::Hit);
-}
-
-TEST(ResultCache, WaiterOverflowDegradesToBypass)
-{
-    ResultCacheConfig cfg;
-    cfg.capacityBytes = 1 << 20;
-    cfg.maxWaiters = 0; // no follower may queue
-    ResultCache cache(cfg);
-
-    const auto lead = cache.begin(makeRequest());
-    ASSERT_EQ(lead.kind, ResultCache::Probe::Kind::Leader);
-    const auto probe = cache.begin(makeRequest());
-    EXPECT_EQ(probe.kind, ResultCache::Probe::Kind::Bypass);
-    EXPECT_EQ(cache.counters().waiterOverflow, 1u);
-    cache.publish(lead, true, "makespan 11\n");
+    for (std::size_t i = 0; i < kClients; ++i) {
+        const ServiceResponse resp = parseFrame(frames[i]);
+        ASSERT_TRUE(resp.ok) << resp.error;
+        EXPECT_EQ(resp.id, 100 + i);
+        EXPECT_EQ(bodyAboveStats(frames[i]), bodyAboveStats(frames[0]));
+    }
+    // Whatever raced above, the answer is stored now.
+    const ServiceResponse ninth =
+        parseFrame(sendRaw(server_.port(), req));
+    EXPECT_EQ(ninth.stats.resultCache, 1u);
+    EXPECT_EQ(server_.resultCache().entries(), 1u);
 }
 
 // --- Snapshots ----------------------------------------------------
@@ -290,15 +360,10 @@ TEST(ResultCache, WaiterOverflowDegradesToBypass)
 TEST(ResultCacheSnapshot, RoundTripPreservesEntriesAndLruOrder)
 {
     const std::string path = tempPath("roundtrip");
-    ResultCacheConfig cfg;
-    cfg.capacityBytes = 1 << 20;
-    ResultCache cache(cfg);
-    for (int cores : {1, 2, 3}) {
-        const auto lead = cache.begin(makeRequest(cores));
-        ASSERT_EQ(lead.kind, ResultCache::Probe::Kind::Leader);
-        cache.publish(lead, true,
-                      "makespan 1" + std::to_string(cores) + "\n");
-    }
+    ResultCache cache(1 << 20);
+    for (int cores : {1, 2, 3})
+        put(cache, makeRequest(cores),
+            "makespan 1" + std::to_string(cores) + "\n");
 
     std::size_t entries = 0;
     std::string error;
@@ -306,29 +371,23 @@ TEST(ResultCacheSnapshot, RoundTripPreservesEntriesAndLruOrder)
     EXPECT_EQ(entries, 3u);
     EXPECT_EQ(cache.counters().snapshotSaves, 1u);
 
-    ResultCache reloaded(cfg);
+    ResultCache reloaded(1 << 20);
     std::size_t loaded = 0;
     ASSERT_TRUE(reloaded.loadSnapshot(path, &error, &loaded))
         << error;
     EXPECT_EQ(loaded, 3u);
     EXPECT_EQ(reloaded.entries(), 3u);
-    for (int cores : {1, 2, 3}) {
-        const auto hit = reloaded.begin(makeRequest(cores));
-        ASSERT_EQ(hit.kind, ResultCache::Probe::Kind::Hit);
-        EXPECT_EQ(hit.body,
+    for (int cores : {1, 2, 3})
+        EXPECT_EQ(get(reloaded, makeRequest(cores)),
                   "makespan 1" + std::to_string(cores) + "\n");
-    }
     std::remove(path.c_str());
 }
 
 TEST(ResultCacheSnapshot, VersionSkewIsRejectedWholesale)
 {
     const std::string path = tempPath("skew");
-    ResultCacheConfig cfg;
-    cfg.capacityBytes = 1 << 20;
-    ResultCache cache(cfg);
-    const auto lead = cache.begin(makeRequest());
-    cache.publish(lead, true, "makespan 11\n");
+    ResultCache cache(1 << 20);
+    put(cache, makeRequest(), "makespan 11\n");
     ASSERT_TRUE(cache.saveSnapshot(path));
 
     // Bump the version token: the loader must refuse the whole file.
@@ -341,7 +400,7 @@ TEST(ResultCacheSnapshot, VersionSkewIsRejectedWholesale)
     bytes[v + 1] = '2';
     std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 
-    ResultCache reloaded(cfg);
+    ResultCache reloaded(1 << 20);
     std::string error;
     EXPECT_FALSE(reloaded.loadSnapshot(path, &error));
     EXPECT_NE(error.find("magic/version"), std::string::npos)
@@ -353,13 +412,9 @@ TEST(ResultCacheSnapshot, VersionSkewIsRejectedWholesale)
 TEST(ResultCacheSnapshot, TruncationIsRejectedWholesale)
 {
     const std::string path = tempPath("trunc");
-    ResultCacheConfig cfg;
-    cfg.capacityBytes = 1 << 20;
-    ResultCache cache(cfg);
-    for (int cores : {1, 2}) {
-        const auto lead = cache.begin(makeRequest(cores));
-        cache.publish(lead, true, "makespan 11\n");
-    }
+    ResultCache cache(1 << 20);
+    for (int cores : {1, 2})
+        put(cache, makeRequest(cores), "makespan 11\n");
     ASSERT_TRUE(cache.saveSnapshot(path));
 
     std::ifstream in(path, std::ios::binary);
@@ -369,7 +424,7 @@ TEST(ResultCacheSnapshot, TruncationIsRejectedWholesale)
     std::ofstream(path, std::ios::binary | std::ios::trunc)
         << bytes.substr(0, bytes.size() / 2);
 
-    ResultCache reloaded(cfg);
+    ResultCache reloaded(1 << 20);
     std::string error;
     EXPECT_FALSE(reloaded.loadSnapshot(path, &error));
     EXPECT_EQ(reloaded.entries(), 0u);
@@ -379,11 +434,8 @@ TEST(ResultCacheSnapshot, TruncationIsRejectedWholesale)
 TEST(ResultCacheSnapshot, CorruptPayloadFailsTheChecksum)
 {
     const std::string path = tempPath("corrupt");
-    ResultCacheConfig cfg;
-    cfg.capacityBytes = 1 << 20;
-    ResultCache cache(cfg);
-    const auto lead = cache.begin(makeRequest());
-    cache.publish(lead, true, "makespan 11\n");
+    ResultCache cache(1 << 20);
+    put(cache, makeRequest(), "makespan 11\n");
     ASSERT_TRUE(cache.saveSnapshot(path));
 
     // Flip one payload byte without touching the structure.
@@ -396,7 +448,7 @@ TEST(ResultCacheSnapshot, CorruptPayloadFailsTheChecksum)
     bytes[at] = 'M';
     std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 
-    ResultCache reloaded(cfg);
+    ResultCache reloaded(1 << 20);
     std::string error;
     EXPECT_FALSE(reloaded.loadSnapshot(path, &error));
     EXPECT_NE(error.find("checksum"), std::string::npos) << error;
@@ -406,9 +458,7 @@ TEST(ResultCacheSnapshot, CorruptPayloadFailsTheChecksum)
 
 TEST(ResultCacheSnapshot, MissingFileIsAnError)
 {
-    ResultCacheConfig cfg;
-    cfg.capacityBytes = 1 << 20;
-    ResultCache cache(cfg);
+    ResultCache cache(1 << 20);
     std::string error;
     EXPECT_FALSE(cache.loadSnapshot(tempPath("missing"), &error));
     EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
@@ -429,46 +479,30 @@ TEST(ResultCacheEnv, UnsetOrEmptyDisables)
 
 TEST(ResultCacheConcurrency, HammerLeadersFollowersAndEviction)
 {
-    // A deliberately tiny cache over a small key space: every probe
-    // races hits, flights, insertions and evictions across shards.
-    ResultCacheConfig cfg;
-    cfg.capacityBytes = 8192;
-    cfg.shards = 4;
-    ResultCache cache(cfg);
+    // A deliberately tiny cache over a key space larger than it:
+    // every thread races lookups, duplicate inserts and evictions
+    // across shards.
     constexpr int kThreads = 8;
     constexpr int kIters = 300;
+    constexpr int kKeys = 24;
+    const std::size_t charge =
+        ResultCache::keyMaterial(makeRequest(kKeys)).size() + 64 + 64;
+    ResultCache cache(ResultCache::kShards * 2 * charge);
 
-    std::atomic<std::uint64_t> served{0};
+    std::atomic<std::uint64_t> hits{0};
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
             for (int i = 0; i < kIters; ++i) {
-                const int cores = 1 + (t + i) % 5;
-                const auto probe =
-                    cache.begin(makeRequest(cores));
-                switch (probe.kind) {
-                case ResultCache::Probe::Kind::Hit:
-                    served.fetch_add(1);
-                    break;
-                case ResultCache::Probe::Kind::Leader:
-                    cache.publish(probe, true,
-                                  std::string(64, 'a' + cores));
-                    break;
-                case ResultCache::Probe::Kind::Follower: {
-                    bool ok = false;
-                    std::string body;
-                    if (cache.waitFollower(
-                            probe,
-                            std::chrono::steady_clock::now() +
-                                std::chrono::seconds(5),
-                            &ok, &body) ==
-                        ResultCache::WaitOutcome::Ready)
-                        served.fetch_add(1);
-                    break;
-                }
-                case ResultCache::Probe::Kind::Bypass:
-                    break;
+                const int cores = 1 + (t + i) % kKeys;
+                const std::string expect(64, 'a' + cores);
+                ResultCache::Key key(makeRequest(cores));
+                if (const auto body = cache.lookup(key)) {
+                    EXPECT_EQ(*body, expect);
+                    hits.fetch_add(1);
+                } else {
+                    cache.insert(std::move(key), expect);
                 }
                 if (i % 64 == 0) {
                     (void)cache.entries();
@@ -482,8 +516,11 @@ TEST(ResultCacheConcurrency, HammerLeadersFollowersAndEviction)
         t.join();
 
     const auto counters = cache.counters();
-    EXPECT_EQ(counters.hits + counters.collapsed, served.load());
+    EXPECT_EQ(counters.hits, hits.load());
+    EXPECT_EQ(counters.hits + counters.misses,
+              std::uint64_t(kThreads) * kIters);
     EXPECT_GT(counters.insertions, 0u);
+    EXPECT_GT(counters.evictions, 0u);
 }
 
 } // anonymous namespace
